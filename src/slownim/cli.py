@@ -144,6 +144,14 @@ def cmd_verify(args) -> int:
         print("error: give --max BOUND and/or --positions FILE",
               file=sys.stderr)
         return EXIT_USAGE
+    if min(args.max or 0, args.conjecture or 0) < 0:
+        raise ValueError("--max and --conjecture must be nonnegative")
+    batch = _read_batch(args.positions) if args.positions else []
+    for x in batch:
+        if len(x) != k + 1:
+            print(f"error: position {x} has {len(x)} piles, "
+                  f"expected {k + 1}", file=sys.stderr)
+            return EXIT_USAGE
 
     import itertools
 
@@ -157,14 +165,9 @@ def cmd_verify(args) -> int:
             for x in grid:
                 mismatches.extend(_check_one(spec, x, memo, args.appendix))
                 checked += 1
-        if args.positions:
-            for x in _read_batch(args.positions):
-                if len(x) != k + 1:
-                    print(f"error: position {x} has {len(x)} piles, "
-                          f"expected {k + 1}", file=sys.stderr)
-                    return EXIT_USAGE
-                mismatches.extend(_check_one(spec, x, memo, args.appendix))
-                checked += 1
+        for x in batch:
+            mismatches.extend(_check_one(spec, x, memo, args.appendix))
+            checked += 1
         if args.conjecture is not None:
             bound = args.max if args.max is not None else args.conjecture + 1
             for m in range(args.conjecture + 1):
@@ -270,6 +273,8 @@ def cmd_play(args) -> int:
 
 def cmd_bench(args) -> int:
     k, bits, reps = args.k, args.bits, args.reps
+    if reps < 1:
+        raise ValueError(f"--reps must be positive, got {reps}")
     rng = random.Random(args.seed)
     top = 1 << bits
     total = 0.0
@@ -360,7 +365,7 @@ def main(argv=None) -> int:
         print(f"resource limit: explored {exc.explored} states "
               f"(raise {MAX_STATES_ENV})", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:     # bad input or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

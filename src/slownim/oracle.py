@@ -15,7 +15,9 @@ the fast solver and the closed-form results can be checked against it:
   exhaustive enumeration.
 * ``critical_oracle`` / ``m_of_oracle`` -- minimal positions of a given
   remoteness under coordinatewise dominance of sorted forms, and the value
-  m(x) defined by which of those minimal positions x dominates.
+  m(x), the largest remoteness among the minimal positions x dominates.
+  Both read one table, built in a single pass over the grid [0..bound]^n
+  and cached for the most recent grid: the remoteness values at or below x.
 
 Memo tables are plain dicts keyed by canonical positions (raw tuples for
 hypergraph specs).  Every table has an explicit size cap; crossing it raises
@@ -45,12 +47,13 @@ class ResourceLimitError(RuntimeError):
 
 
 def _state_limit(max_states: int | None) -> int:
-    if max_states is not None:
-        if max_states < 1:
-            raise ValueError("max_states must be positive")
-        return max_states
-    env = os.environ.get(MAX_STATES_ENV)
-    return int(env) if env else DEFAULT_MAX_STATES
+    if max_states is None:
+        env = os.environ.get(MAX_STATES_ENV)
+        max_states = int(env) if env else DEFAULT_MAX_STATES
+    if max_states < 1:
+        raise ValueError(f"max_states and {MAX_STATES_ENV} must be positive, "
+                         f"got {max_states}")
+    return max_states
 
 
 def _root_position(spec: GameSpec, x) -> tuple[int, ...]:
@@ -179,8 +182,13 @@ def _dominated_sorted(x: Position):
     yield from rec(0, 0)
 
 
-@lru_cache(maxsize=None)
-def _b_oracle_cached(x: Position, k: int) -> int:
+def b_oracle(x, k: int) -> int:
+    """Largest b(z) over basic z dominated by x, by exhaustive enumeration."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    x = canonicalize(x)
+    if len(x) != k + 1:
+        raise ValueError(f"b_oracle needs k+1 = {k + 1} piles, got {len(x)}")
     best = 0
     for z in _dominated_sorted(x):
         total = sum(z)
@@ -193,41 +201,32 @@ def _b_oracle_cached(x: Position, k: int) -> int:
     return best
 
 
-def b_oracle(x, k: int) -> int:
-    """Largest b(z) over basic z dominated by x, by exhaustive enumeration."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    x = canonicalize(x)
-    if len(x) != k + 1:
-        raise ValueError(f"b_oracle needs k+1 = {k + 1} piles, got {len(x)}")
-    return _b_oracle_cached(x, k)
+@lru_cache(maxsize=1)
+def _lattice(spec: GameSpec, bound: int, limit: int):
+    """One pass over the sorted grid [0..bound]^n, in lexicographic order.
 
-
-def _grid_positions(n: int, bound: int):
-    return itertools.combinations_with_replacement(range(bound + 1), n)
-
-
-@lru_cache(maxsize=64)
-def _grid_criticals(spec: GameSpec, bound: int, limit: int) -> dict[int, tuple[Position, ...]]:
-    """For every remoteness value on the grid [0..bound]^n: its minimal
-    positions under coordinatewise dominance of sorted forms."""
+    A cover of x is x with the first entry of one run of equal values lowered
+    by one.  Every sorted z < x lies at or below some cover of x, and covers
+    come earlier in the order, so ``masks[x]``, the bitmask of the
+    remoteness values of all sorted z <= x, is one OR over the covers.
+    x is critical for v = R(x) exactly when bit v is missing from that OR.
+    Returns (masks, criticals), criticals[v] listing the critical positions
+    of value v in sorted order.
+    """
     memo: dict = {}
-    by_value: dict[int, list[Position]] = {}
-    for x in _grid_positions(spec.n, bound):
+    masks: dict[Position, int] = {}
+    criticals: dict[int, list[Position]] = {}
+    for x in itertools.combinations_with_replacement(range(bound + 1), spec.n):
+        below, prev = 0, 0
+        for i, c in enumerate(x):
+            if c > prev:
+                below |= masks[x[:i] + (c - 1,) + x[i + 1:]]
+            prev = c
         v = _solve(spec, x, _remoteness_combine, memo, limit)
-        by_value.setdefault(v, []).append(x)
-    criticals: dict[int, tuple[Position, ...]] = {}
-    for v, group in by_value.items():
-        # Anything strictly dominated has a strictly smaller sum, and by
-        # transitivity a dominating witness can always be picked among the
-        # already-accepted minimal ones, so one sum-ordered pass suffices.
-        group.sort(key=sum)
-        minimal: list[Position] = []
-        for x in group:
-            if not any(all(a <= b for a, b in zip(y, x)) and y != x for y in minimal):
-                minimal.append(x)
-        criticals[v] = tuple(sorted(minimal))
-    return criticals
+        if not below >> v & 1:
+            criticals.setdefault(v, []).append(x)
+        masks[x] = below | 1 << v
+    return masks, criticals
 
 
 def _require_plain(spec: GameSpec, what: str) -> None:
@@ -247,33 +246,21 @@ def critical_oracle(spec: GameSpec, m: int, bound: int, *,
     _require_plain(spec, "critical_oracle")
     if m < 0 or bound < 0:
         raise ValueError("m and bound must be nonnegative")
-    criticals = _grid_criticals(spec, bound, _state_limit(max_states))
+    _, criticals = _lattice(spec, bound, _state_limit(max_states))
     return set(criticals.get(m, ()))
 
 
 def m_of_oracle(spec: GameSpec, x, bound: int, *, max_states: int | None = None) -> int:
     """The value m(x): x dominates some minimal position of remoteness m and
-    none of remoteness m + 1.
-
-    Needs bound large enough to hold the minimal positions one level above
-    the answer, and raises ValueError when it can tell the bound was too
-    small to certify that level.
+    none of a larger one, i.e. m(x) is the largest remoteness of a sorted
+    z <= x.  The grid [0..bound]^n holds every such z once it holds x, so
+    bound only has to be >= max(x); a smaller one raises ValueError.
     """
     _require_plain(spec, "m_of_oracle")
     x = canonicalize(x)
     if len(x) != spec.n:
         raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")
-    criticals = _grid_criticals(spec, bound, _state_limit(max_states))
-    dominated = [
-        m for m, group in criticals.items()
-        if any(len(z) == len(x) and all(a >= b for a, b in zip(x, z)) for z in group)
-    ]
-    if not dominated:
-        raise ValueError(f"{x} dominates no minimal position within bound {bound}")
-    m = max(dominated)
-    if bound < m + 1:
-        raise ValueError(
-            f"bound {bound} too small to certify m({x}) = {m}: positions of "
-            f"remoteness {m + 1} may lie outside the grid"
-        )
-    return m
+    if x[-1] > bound:
+        raise ValueError(f"{x} does not fit in the grid of bound {bound}")
+    masks, _ = _lattice(spec, bound, _state_limit(max_states))
+    return masks[x].bit_length() - 1

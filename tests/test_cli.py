@@ -86,7 +86,7 @@ def test_verify_grid(capsys):
     assert "checked 1 positions, 0 mismatches" in out
 
 
-def test_verify_usage_errors(capsys):
+def test_verify_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--k", "2", "--max", "4", "--appendix")
     assert code == 2
     assert "k=3" in err
@@ -94,6 +94,21 @@ def test_verify_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--k", "2")
     assert code == 2
     assert "--max" in err
+
+    code, out, err = run(capsys, "verify", "--k", "2", "--max", "-3")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--max" in err
+
+    code, out, err = run(capsys, "verify", "--k", "2", "--max", "2",
+                         "--conjecture", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "--conjecture" in err
+
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "verify", "--k", "2", "--positions", str(missing))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert "missing.txt" in err
 
 
 def test_verify_appendix(capsys):
@@ -180,6 +195,22 @@ def test_bench_runs_and_reports(capsys):
     assert code == 0
     assert out.count("rep ") == 2
     assert "mean" in out and "positions/s" in out
+
+
+def test_bench_rejects_nonpositive_reps(capsys):
+    for reps in ("0", "-2"):
+        code, out, err = run(capsys, "bench", "--k", "3", "--reps", reps)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_bad_state_limit_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SLOWNIM_MAX_STATES", "-5")
+    code, out, err = run(capsys, "analyze", "--k", "2", "--oracle", "3,3,3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "SLOWNIM_MAX_STATES" in err
 
 
 def test_bench_is_seed_reproducible(capsys):

@@ -7,6 +7,7 @@ import pytest
 from slownim.game import GameSpec, complete_hypergraph, is_terminal
 from slownim.oracle import (
     ResourceLimitError,
+    _dominated_sorted,
     b_oracle,
     critical_oracle,
     is_basic,
@@ -16,6 +17,13 @@ from slownim.oracle import (
 )
 
 NIM32 = GameSpec(3, 2)
+
+# The shapes of the acceptance grids of NIM(k+1, k) and of the conjecture
+# checks in acceptance criterion 8.  Bounds are cut where the definitional
+# m(x) scan below would cost seconds (full grids: 20, 12, 8, 6 and 9).
+LATTICE_GRIDS = [(GameSpec(3, 2), 14), (GameSpec(4, 3), 9), (GameSpec(5, 4), 6),
+                 (GameSpec(6, 5), 5), (GameSpec(3, 2), 10), (GameSpec(4, 2), 8),
+                 (GameSpec(5, 3), 7)]
 
 
 def test_remoteness_examples():
@@ -132,9 +140,43 @@ def test_m_of_examples():
     assert m_of_oracle(NIM32, (3, 3, 3), 6) == 4
 
 
-def test_m_of_requires_room_above_the_answer():
+def test_m_of_needs_only_a_grid_holding_x():
+    assert m_of_oracle(NIM32, (3, 3, 3), 3) == 4
     with pytest.raises(ValueError):
-        m_of_oracle(NIM32, (3, 3, 3), 4)
+        m_of_oracle(NIM32, (3, 3, 3), 2)
+
+
+def _minimal_by_definition(values: dict) -> dict:
+    """Per remoteness value, the positions that dominate no other position
+    of that value: a sum-ordered antichain filter over each value's group."""
+    groups: dict = {}
+    for x, v in values.items():
+        groups.setdefault(v, []).append(x)
+    minimal_sets = {}
+    for v, group in groups.items():
+        # a strictly dominated position has a strictly smaller sum, and a
+        # dominating witness can be picked among the accepted minimal ones
+        group.sort(key=sum)
+        minimal: list = []
+        for x in group:
+            if not any(all(a <= b for a, b in zip(y, x)) and y != x for y in minimal):
+                minimal.append(x)
+        minimal_sets[v] = set(minimal)
+    return minimal_sets
+
+
+@pytest.mark.parametrize("spec, bound", LATTICE_GRIDS,
+                         ids=lambda p: repr(p) if isinstance(p, int) else f"n{p.n}k{p.k}")
+def test_lattice_matches_definitions(spec, bound):
+    memo: dict = {}
+    values = {x: remoteness_oracle(spec, x, memo=memo)
+              for x in itertools.combinations_with_replacement(range(bound + 1), spec.n)}
+    minimal = _minimal_by_definition(values)
+    for v in range(max(values.values()) + 2):
+        assert critical_oracle(spec, v, bound) == minimal.get(v, set()), v
+    for x in values:
+        want = max(values[z] for z in _dominated_sorted(x))
+        assert m_of_oracle(spec, x, bound) == want, x
 
 
 def test_resource_limit_reports_explored_count():
