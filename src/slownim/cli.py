@@ -26,8 +26,8 @@ import time
 
 from .critical import check_conjecture, enumerate_critical, is_m_critical
 from .fast import remoteness_fast
-from .game import GameSpec, apply_move, canonicalize, is_terminal, legal_moves
-from .mrule import e_index, m_count, m_move
+from .game import GameSpec, apply_move, canonicalize, legal_moves
+from .mrule import m_count
 from .nim43 import nim43_status
 from .oracle import (DEFAULT_MAX_STATES, MAX_STATES_ENV, ResourceLimitError,
                      critical_oracle, remoteness_oracle)
@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# Longest playout ``analyze --trace`` prints; it has one move per unit of remoteness.
+MAX_TRACE_MOVES = 10_000
 
 
 def _parse_position(tokens) -> tuple[int, ...]:
@@ -54,12 +57,7 @@ def _parse_position(tokens) -> tuple[int, ...]:
     return coords
 
 
-def _record(x, k: int, remoteness: int, branch: str, trace) -> dict:
-    x = canonicalize(x)
-    spec = GameSpec(len(x), k)
-    keep = None
-    if len(x) == k + 1 and not is_terminal(spec, x):
-        keep = e_index(x)
+def _record(x, k: int, remoteness: int, branch: str, keep, trace) -> dict:
     return {
         "position": list(x),
         "n": len(x),
@@ -93,17 +91,22 @@ def cmd_analyze(args) -> int:
     if k > n:
         print(f"error: k={k} exceeds pile count n={n}", file=sys.stderr)
         return EXIT_USAGE
-    spec = GameSpec(n, k)
-    if args.oracle or n != k + 1:
-        value = remoteness_oracle(spec, x)
-        branch = "oracle"
-    else:
+    keep = None
+    if n == k + 1:
         result = remoteness_fast(x, k)
-        value, branch = result.remoteness, result.branch
+        value, branch, keep = (result.remoteness, result.branch,
+                               result.best_keep_index)
+    if args.oracle or n != k + 1:
+        value = remoteness_oracle(GameSpec(n, k), x)
+        branch = "oracle"
     trace = None
     if args.trace and n == k + 1:
-        trace = [list(p) for p in m_count(x, spec).positions]
-    _print_record(_record(x, k, value, branch, trace), args.json)
+        if value > MAX_TRACE_MOVES:
+            print(f"resource limit: the playout has {value} moves, --trace "
+                  f"prints at most {MAX_TRACE_MOVES}", file=sys.stderr)
+            return EXIT_RESOURCE
+        trace = [list(p) for p in m_count(x).positions]
+    _print_record(_record(x, k, value, branch, keep, trace), args.json)
     return EXIT_OK
 
 
@@ -251,23 +254,19 @@ def cmd_play(args) -> int:
     spec = GameSpec(k + 1, k)
     engine_to_move = args.engine_first
     while True:
-        value = remoteness_fast(x, k).remoteness
-        status = "P" if value % 2 == 0 else "N"
-        print(f"position {x}  remoteness {value}  status {status}")
-        if is_terminal(spec, x):
+        result = remoteness_fast(x, k)
+        print(f"position {x}  remoteness {result.remoteness}  status {result.status}")
+        if result.best_keep_index is None:
             loser = "engine" if engine_to_move else "you"
             print(f"no move possible: {loser} lose{'s' if loser == 'engine' else ''}")
             return EXIT_OK
+        keep = result.best_keep_index if engine_to_move else _prompt_move(spec, x)
+        if keep is None:             # only the human can quit
+            print("bye")
+            return EXIT_OK
+        x = apply_move(spec, x, keep)
         if engine_to_move:
-            keep = e_index(x)
-            x = m_move(x, spec)
             print(f"engine keeps index {keep} -> {x}")
-        else:
-            keep = _prompt_move(spec, x)
-            if keep is None:
-                print("bye")
-                return EXIT_OK
-            x = apply_move(spec, x, keep)
         engine_to_move = not engine_to_move
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .game import GameSpec, Position, canonicalize
+from .game import GameSpec, Position, canonicalize, plain_position
 from .oracle import ResourceLimitError, critical_oracle
 
 
@@ -51,13 +51,9 @@ def strictly_dominates(x, y) -> bool:
 
 def is_m_critical(x, k: int, m: int) -> str | None:
     """'A' or 'B' (the matching branch above) or None; n = k + 1 only."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    x = plain_position(x, k)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    x = canonicalize(x)
-    if len(x) != k + 1:
-        raise ValueError(f"expected k+1 = {k + 1} piles, got {len(x)}")
     total = sum(x)
     evens = sum(1 for c in x if c % 2 == 0)
     if total == k * m and x[-1] <= m:

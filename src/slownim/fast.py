@@ -24,15 +24,17 @@ happens for a non-exceptional position; hitting it would falsify the rule,
 so it raises ``AlgorithmInvariantError`` rather than guessing.
 
 Everything runs in O(n) arithmetic operations after one sort, so positions
-with 100k piles of 2^60 stones are fine.
+with 100k piles of 2^60 stones are fine: each public function validates and
+sorts once (``game.plain_position``), then private kernels take the tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import GameSpec, Position, canonicalize
-from .mrule import e_index, m_move
+# canonicalize, e_index and m_move go unused: perfbench/tracing.py wraps them here.
+from .game import Position, canonicalize, plain_position  # noqa: F401
+from .mrule import _e_index, _step, e_index, m_move  # noqa: F401
 
 
 class AlgorithmInvariantError(RuntimeError):
@@ -79,19 +81,13 @@ class AnalysisResult:
         return len(self.position)
 
 
-def _checked(x, k: int) -> Position:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    x = canonicalize(x)
-    if len(x) != k + 1:
-        raise ValueError(f"expected k+1 = {k + 1} piles, got {len(x)}")
-    return x
-
-
 def is_exceptional(x, k: int) -> int | None:
     """The witness m if x is exceptional (all odd, sum = k*m + k - 1, m even
     positive, max < m), else None."""
-    x = _checked(x, k)
+    return _exceptional(plain_position(x, k), k)
+
+
+def _exceptional(x: Position, k: int) -> int | None:
     if any(c % 2 == 0 for c in x):
         return None
     m, rem = divmod(sum(x) - (k - 1), k)
@@ -138,7 +134,7 @@ def _candidate(x: Position, t: int, q: int, middle: int) -> Position:
 def b_t(x, k: int, t: int) -> int | None:
     """Best even b(z) over witnesses with cutoff t, or None when the shape is
     infeasible for this t."""
-    x = _checked(x, k)
+    x = plain_position(x, k)
     if not 2 <= t <= k + 2:
         raise ValueError(f"t must lie in 2..{k + 2}, got {t}")
     middle = sum(2 * (c // 2) for c in x[1:t - 1])
@@ -151,7 +147,10 @@ def E_value(x, k: int) -> EValue:
 
     E(x) <= B(x) always, with equality exactly when B(x) is even.
     """
-    x = _checked(x, k)
+    return _E(plain_position(x, k), k)
+
+
+def _E(x: Position, k: int) -> EValue:
     best_q = -1
     best_t = -1
     best_middle = 0
@@ -166,57 +165,61 @@ def E_value(x, k: int) -> EValue:
     return EValue(value=2 * best_q, witness_t=best_t, witness_z=z)
 
 
-def _lift_certificate(x: Position, keep: int, ev: EValue) -> BasicCertificate:
+def _lift_certificate(keep: int, ev: EValue) -> BasicCertificate:
     """Turn a witness for the M-rule successor x' into one for x itself: add
     the removed stone back on every pile except the kept one.  The result has
     exactly one even pile and value b + 1."""
     z = [c + 1 for c in ev.witness_z]
     z[keep - 1] = ev.witness_z[keep - 1]
-    return BasicCertificate(z=canonicalize(z), b=ev.value + 1)
+    z.sort()
+    return BasicCertificate(z=tuple(z), b=ev.value + 1)
 
 
-def _b_from_e(x: Position, k: int) -> tuple[int, BasicCertificate]:
-    keep = e_index(x)
-    ev = E_value(x, k)
-    ev_next = E_value(m_move(x), k)
+def _b_from_e(x: Position, k: int, keep: int) -> tuple[int, BasicCertificate]:
+    """B(x) and its certificate; x sorted, not exceptional, not terminal."""
+    # x' goes first and unnamed, so it is freed before E(x)'s witness is built.
+    ev_next = _E(_step(x, keep), k)
+    ev = _E(x, k)
     if ev.value > ev_next.value + 1:
         return ev.value, BasicCertificate(z=ev.witness_z, b=ev.value)
     if ev.value < ev_next.value + 1:
-        return ev_next.value + 1, _lift_certificate(x, keep, ev_next)
+        del ev      # E(x)'s witness is not needed: free it before lifting
+        return ev_next.value + 1, _lift_certificate(keep, ev_next)
     raise AlgorithmInvariantError(
-        f"E(x) == E(x') + 1 == {ev.value} at x={x}, x'={m_move(x)}; "
+        f"E(x) == E(x') + 1 == {ev.value} at x={x}, x'={_step(x, keep)}; "
         "this should be impossible for a non-exceptional position"
     )
 
 
 def b_fast(x, k: int) -> int:
     """B(x) for non-exceptional x, via E(x) and E(M-move of x)."""
-    x = _checked(x, k)
-    if is_exceptional(x, k) is not None:
+    x = plain_position(x, k)
+    if _exceptional(x, k) is not None:
         raise ValueError(
             f"{x} is exceptional; its remoteness is the witness m, not B(x)"
         )
     if x[1] == 0:   # terminal: at most one nonempty pile
         return 0
-    return _b_from_e(x, k)[0]
+    return _b_from_e(x, k, _e_index(x))[0]
 
 
 def remoteness_fast(x, k: int) -> AnalysisResult:
     """Remoteness, P/N status, an optimal move, and the certifying branch."""
-    x = _checked(x, k)
+    x = plain_position(x, k)
     if x[1] == 0:
         return AnalysisResult(x, k, 0, "P", None, "terminal", None)
-    m = is_exceptional(x, k)
+    keep = _e_index(x)
+    m = _exceptional(x, k)
     if m is not None:
-        return AnalysisResult(x, k, m, "P", e_index(x), "exceptional", None)
-    b, cert = _b_from_e(x, k)
+        return AnalysisResult(x, k, m, "P", keep, "exceptional", None)
+    b, cert = _b_from_e(x, k, keep)
     status = "P" if b % 2 == 0 else "N"
-    return AnalysisResult(x, k, b, status, e_index(x), "E-rule", cert)
+    return AnalysisResult(x, k, b, status, keep, "E-rule", cert)
 
 
 def best_move(x, k: int) -> int:
     """1-based keep-index of an optimal move (the M-rule move) from sorted x."""
-    x = _checked(x, k)
+    x = plain_position(x, k)
     if x[1] == 0:
         raise ValueError(f"{x} is terminal; no move exists")
-    return e_index(x)
+    return _e_index(x)

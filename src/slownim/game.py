@@ -73,6 +73,16 @@ def canonicalize(raw) -> Position:
     return tuple(coords)
 
 
+def plain_position(x, k) -> Position:
+    """Canonical x, checked as a NIM(k+1, k) position with k a positive int."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    x = canonicalize(x)
+    if len(x) != k + 1:
+        raise ValueError(f"expected k+1 = {k + 1} piles, got {len(x)}")
+    return x
+
+
 def _check_len(spec: GameSpec, x: Position) -> None:
     if len(x) != spec.n:
         raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")

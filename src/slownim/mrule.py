@@ -9,14 +9,17 @@ length under optimal play, so the rule is optimal for winner and loser alike.
 On a sorted position the kept index is ``e_index``: the maximal index holding
 the smallest even coordinate, or n when all coordinates are odd.  Reducing
 every other coordinate by one leaves the tuple sorted, so M-moves need no
-re-sorting -- a fact the fast solver exploits and the tests verify.
+re-sorting -- the tests check this, no run-time check does.  Public functions
+sort once; the kernels ``_e_index`` and ``_step`` take sorted tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .game import GameSpec, Position, canonicalize, is_terminal
+from .game import GameSpec, Position, canonicalize
+from .game import is_terminal  # noqa: F401 -- looked up here by perfbench/tracing.py
 
 
 @dataclass(frozen=True)
@@ -32,22 +35,23 @@ class MRulePlayout:
         return len(self.moves)
 
 
-def _default_spec(x: Position) -> GameSpec:
-    if len(x) < 2:
-        raise ValueError("the M-rule needs n = k + 1 >= 2 piles")
-    return GameSpec(len(x), len(x) - 1)
-
-
-def _check_spec(spec: GameSpec | None, x: Position) -> GameSpec:
+def _check_spec(spec: GameSpec | None, x: Position) -> None:
     if spec is None:
-        return _default_spec(x)
+        if len(x) < 2:
+            raise ValueError("the M-rule needs n = k + 1 >= 2 piles")
+        return
     if spec.hyperedges is not None:
         raise ValueError("the M-rule is defined for plain NIM(k+1, k) only")
     if spec.n != spec.k + 1:
         raise ValueError(f"the M-rule needs n = k + 1, got n={spec.n} k={spec.k}")
     if len(x) != spec.n:
         raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")
-    return spec
+
+
+def _e_index(x: Position) -> int:
+    """``e_index`` of an already sorted tuple."""
+    v = next((c for c in x if c % 2 == 0), None)
+    return len(x) if v is None else bisect_right(x, v)
 
 
 def e_index(x) -> int:
@@ -55,40 +59,35 @@ def e_index(x) -> int:
 
     Maximal index holding the smallest even coordinate; n when all odd.
     """
-    x = canonicalize(x)
-    first_even = next((i for i, c in enumerate(x) if c % 2 == 0), None)
-    if first_even is None:
-        return len(x)
-    v = x[first_even]
-    last = first_even
-    while last + 1 < len(x) and x[last + 1] == v:
-        last += 1
-    return last + 1
+    return _e_index(canonicalize(x))
+
+
+def _step(x: Position, keep: int) -> Position:
+    """The one M-move body: one stone off every pile but 1-based ``keep``."""
+    keep -= 1
+    return tuple(c if i == keep else c - 1 for i, c in enumerate(x))
 
 
 def m_move(x, spec: GameSpec | None = None) -> Position:
     """One M-rule move; the result is sorted without re-sorting."""
     x = canonicalize(x)
-    spec = _check_spec(spec, x)
-    if is_terminal(spec, x):
+    _check_spec(spec, x)
+    if x[1] == 0:   # at most one nonempty pile: no k piles to reduce
         raise ValueError(f"{x} is terminal; no move exists")
-    keep = e_index(x) - 1
-    out = tuple(c if i == keep else c - 1 for i, c in enumerate(x))
-    assert all(out[i] <= out[i + 1] for i in range(len(out) - 1))
-    return out
+    return _step(x, _e_index(x))
 
 
 def m_count(x, spec: GameSpec | None = None) -> MRulePlayout:
     """Play the M-rule from x until no move remains; the playout length
     equals the remoteness of x."""
     x = canonicalize(x)
-    spec = _check_spec(spec, x)
+    _check_spec(spec, x)
     moves: list[int] = []
     trace = [x]
     cur = x
-    while not is_terminal(spec, cur):
-        keep = e_index(cur)
+    while cur[1] > 0:
+        keep = _e_index(cur)
         moves.append(keep)
-        cur = tuple(c if i == keep - 1 else c - 1 for i, c in enumerate(cur))
+        cur = _step(cur, keep)
         trace.append(cur)
     return MRulePlayout(start=x, moves=tuple(moves), positions=tuple(trace))

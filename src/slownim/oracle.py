@@ -32,7 +32,7 @@ import itertools
 import os
 from functools import lru_cache
 
-from .game import GameSpec, Position, canonicalize, successors
+from .game import GameSpec, Position, canonicalize, plain_position, successors
 
 MAX_STATES_ENV = "SLOWNIM_MAX_STATES"
 DEFAULT_MAX_STATES = 1_000_000
@@ -149,11 +149,7 @@ def is_basic(z, k: int) -> int | None:
     when b is even / all odd except exactly one when b is odd.  Note b = 0 is
     a valid (falsy) return; compare against None.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    z = canonicalize(z)
-    if len(z) != k + 1:
-        raise ValueError(f"basic positions have k+1 = {k + 1} piles, got {len(z)}")
+    z = plain_position(z, k)
     b, rem = divmod(sum(z), k)
     if rem:
         return None
@@ -184,11 +180,7 @@ def _dominated_sorted(x: Position):
 
 def b_oracle(x, k: int) -> int:
     """Largest b(z) over basic z dominated by x, by exhaustive enumeration."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    x = canonicalize(x)
-    if len(x) != k + 1:
-        raise ValueError(f"b_oracle needs k+1 = {k + 1} piles, got {len(x)}")
+    x = plain_position(x, k)
     best = 0
     for z in _dominated_sorted(x):
         total = sum(z)

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from slownim.cli import main
+from slownim.cli import MAX_TRACE_MOVES, main
 
 
 def run(capsys, *argv):
@@ -65,6 +66,23 @@ def test_analyze_general_shape_uses_oracle(capsys):
     assert rec["branch"] == "oracle"
     assert rec["best_move_keep_index"] is None
     assert rec["trace"] is None
+
+
+def test_analyze_trace_is_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", "--k", "2", "--trace",
+                         "1000000000,1000000000,1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+    # (0, c, c) has remoteness c: the cap itself still traces.
+    edge = f"0,{MAX_TRACE_MOVES},{MAX_TRACE_MOVES}"
+    code, out, _ = run(capsys, "analyze", "--k", "2", "--json", "--trace", edge)
+    assert code == 0
+    assert len(json.loads(out)["trace"]) == MAX_TRACE_MOVES + 1
+    over = f"0,{MAX_TRACE_MOVES + 1},{MAX_TRACE_MOVES + 1}"
+    code, _, err = run(capsys, "analyze", "--k", "2", "--trace", over)
+    assert code == 3 and err.startswith("resource limit:")
 
 
 def test_analyze_usage_errors(capsys):

@@ -1,11 +1,13 @@
 """Closed-form solver: exceptional positions, per-cutoff values, E, B, remoteness."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from slownim import fast, game, mrule
 from slownim.critical import dominates
 from slownim.fast import (
     AlgorithmInvariantError,
@@ -18,6 +20,7 @@ from slownim.fast import (
     remoteness_fast,
 )
 from slownim.game import GameSpec
+from slownim.mrule import m_move
 from slownim.oracle import b_oracle, is_basic, remoteness_oracle
 
 
@@ -155,3 +158,73 @@ def test_huge_coordinates_are_exact(coords):
 
 def test_invariant_error_is_exported():
     assert issubclass(AlgorithmInvariantError, RuntimeError)
+
+
+K_LARGE = 1000
+
+
+def _large_positions(rng):
+    """Positions of NIM(1001, 1000) with piles below 2^60, one per branch
+    shape: uniform, all odd, few distinct values, exceptional, near-terminal,
+    terminal."""
+    top = 1 << 60
+    n = K_LARGE + 1
+    values = [rng.randrange(top) for _ in range(5)]
+    # (c,) * n is exceptional with m = 1001 * j + 999 = c + j when j is odd;
+    # moving d < j stones within pairs keeps it all odd, same sum, max < m.
+    j = 2 * rng.randrange(1 << 49) + 1
+    c = 1000 * j + 999
+    exceptional = [c] * n
+    for i in range(0, n - 1, 2):
+        d = 2 * rng.randrange(j // 2)
+        exceptional[i] -= d
+        exceptional[i + 1] += d
+    return [
+        [rng.randrange(top) for _ in range(n)],
+        [rng.randrange(top) | 1 for _ in range(n)],
+        [rng.choice(values) for _ in range(n)],
+        exceptional,
+        [0] * (n - 2) + [rng.randrange(top), rng.randrange(top)],
+        [0] * (n - 1) + [rng.randrange(top)],
+    ]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_large_scale_metamorphic_laws(seed):
+    """Laws of the paper checked far beyond the oracle: k = 1000, 60-bit piles."""
+    rng = random.Random(seed)
+    branches = set()
+    for x in _large_positions(rng):
+        res = remoteness_fast(x, K_LARGE)
+        branches.add((res.branch, res.status))
+        rng.shuffle(x)
+        assert remoteness_fast(x, K_LARGE) == res
+        if res.branch != "exceptional":
+            assert b_fast(x, K_LARGE) == res.remoteness
+        if res.branch == "terminal":
+            continue
+        assert remoteness_fast(m_move(x), K_LARGE).remoteness == res.remoteness - 1
+        if res.branch == "E-rule":
+            z = res.certificate.z
+            assert list(z) == sorted(z)
+            assert all(a >= b for a, b in zip(res.position, z))
+            assert is_basic(z, K_LARGE) == res.remoteness
+    # Both certificate kinds (even b: E(x) itself; odd b: lifted from E(x')).
+    assert {("terminal", "P"), ("exceptional", "P"),
+            ("E-rule", "P"), ("E-rule", "N")} <= branches
+
+
+def test_one_solve_canonicalizes_once(monkeypatch):
+    calls = []
+    real = game.canonicalize
+
+    def counting(raw):
+        calls.append(1)
+        return real(raw)
+
+    for module in (game, fast, mrule):
+        monkeypatch.setattr(module, "canonicalize", counting)
+    for x in _large_positions(random.Random(14)):
+        calls.clear()
+        remoteness_fast(x, K_LARGE)
+        assert len(calls) == 1
