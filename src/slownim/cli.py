@@ -26,7 +26,7 @@ import time
 
 from .critical import check_conjecture, enumerate_critical, is_m_critical
 from .fast import remoteness_fast
-from .game import GameSpec, apply_move, canonicalize, legal_moves
+from .game import GameSpec, apply_move, canonicalize, legal_moves, plain_position
 from .mrule import m_count
 from .nim43 import nim43_status
 from .oracle import (DEFAULT_MAX_STATES, MAX_STATES_ENV, ResourceLimitError,
@@ -110,13 +110,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _read_batch(path: str) -> list[tuple[int, ...]]:
+def _read_batch(path: str, k: int) -> list[tuple[int, ...]]:
     positions = []
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             line = line.split("#", 1)[0].strip()
             if line:
-                positions.append(_parse_position([line]))
+                positions.append(plain_position(_parse_position([line]), k))
     return positions
 
 
@@ -149,12 +149,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     if min(args.max or 0, args.conjecture or 0) < 0:
         raise ValueError("--max and --conjecture must be nonnegative")
-    batch = _read_batch(args.positions) if args.positions else []
-    for x in batch:
-        if len(x) != k + 1:
-            print(f"error: position {x} has {len(x)} piles, "
-                  f"expected {k + 1}", file=sys.stderr)
-            return EXIT_USAGE
+    batch = _read_batch(args.positions, k) if args.positions else []
 
     import itertools
 
@@ -245,12 +240,8 @@ def _prompt_move(spec: GameSpec, x) -> int | None:
 
 
 def cmd_play(args) -> int:
-    x = canonicalize(args.position)
     k = args.k
-    if len(x) != k + 1:
-        print(f"error: play needs n = k+1 piles, got {len(x)} with k={k}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    x = plain_position(args.position, k)
     spec = GameSpec(k + 1, k)
     engine_to_move = args.engine_first
     while True:

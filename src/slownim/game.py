@@ -17,6 +17,12 @@ the complete k-uniform hypergraph this is NIM(n, k) again, except that the
 edge names the reduced piles instead of the kept ones.  Hyperedges refer to
 fixed pile identities, so the hypergraph game is not permutation symmetric
 and its positions are deliberately *not* canonicalized.
+
+Each kind of spec has one validator: ``plain_position`` for NIM(k+1, k) and
+``spec_position`` for any ``GameSpec``.  Public functions validate their
+input once through it; the private kernels (``_playable``, ``_children``)
+take the checked tuple as it is, so the oracle expands its own states
+without checking them again.
 """
 
 from __future__ import annotations
@@ -79,38 +85,54 @@ def plain_position(x, k) -> Position:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     x = canonicalize(x)
     if len(x) != k + 1:
-        raise ValueError(f"expected k+1 = {k + 1} piles, got {len(x)}")
+        raise ValueError(f"expected {k + 1} piles for k = {k}, got {len(x)}")
     return x
 
 
-def _check_len(spec: GameSpec, x: Position) -> None:
-    if len(x) != spec.n:
-        raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")
+def spec_position(spec: GameSpec, x) -> Position:
+    """x checked as a position of spec, with spec.n piles: canonical for plain
+    specs, the raw (order-preserving) tuple for hypergraph specs."""
+    if spec.hyperedges is None:
+        pos = canonicalize(x)
+    else:
+        pos = tuple(operator.index(c) for c in x)
+        if any(c < 0 for c in pos):
+            raise ValueError(f"pile sizes must be nonnegative, got {list(pos)}")
+    if len(pos) != spec.n:
+        raise ValueError(f"position has {len(pos)} piles, spec wants {spec.n}")
+    return pos
+
+
+def _require_plain(spec: GameSpec, what: str) -> None:
+    if spec.hyperedges is not None:
+        raise ValueError(f"{what} is defined for plain NIM specs only")
+
+
+def _playable(spec: GameSpec, pos: Position) -> list[frozenset[int]]:
+    """Hyperedges all of whose piles are nonempty at the checked pos."""
+    return [e for e in spec.hyperedges if all(pos[i - 1] > 0 for i in e)]
 
 
 def is_terminal(spec: GameSpec, x) -> bool:
     """True when no move is available from x."""
+    x = spec_position(spec, x)
     if spec.hyperedges is not None:
-        pos = tuple(operator.index(c) for c in x)
-        _check_len(spec, pos)
-        return not hypergraph_legal_moves(spec, pos)
-    x = canonicalize(x)
-    _check_len(spec, x)
+        return not _playable(spec, x)
     # A move needs k nonempty piles.
     positive = sum(1 for c in x if c > 0)
     return positive < spec.k
 
 
 def legal_moves(spec: GameSpec, x):
-    """Moves from canonical x.
+    """Moves from canonical x in a plain NIM(n, k) spec.
 
     For n = k + 1 returns the legal keep-indices as plain ints (1-based on the
     sorted position); otherwise returns sorted tuples of kept indices.  Moves
     keeping equal coordinates are not deduplicated here -- callers that want
     distinct successors dedupe at the successor level.
     """
-    x = canonicalize(x)
-    _check_len(spec, x)
+    _require_plain(spec, "legal_moves")
+    x = spec_position(spec, x)
     n, k = spec.n, spec.k
     positive = [i for i in range(1, n + 1) if x[i - 1] > 0]
     if len(positive) < k:
@@ -124,9 +146,10 @@ def legal_moves(spec: GameSpec, x):
 
 
 def apply_move(spec: GameSpec, x, move) -> Position:
-    """Canonical successor of x under a keep-index (int) or keep-set move."""
-    x = canonicalize(x)
-    _check_len(spec, x)
+    """Canonical successor of x under a keep-index (int) or keep-set move in a
+    plain NIM(n, k) spec."""
+    _require_plain(spec, "apply_move")
+    x = spec_position(spec, x)
     keep = frozenset([move]) if isinstance(move, int) else frozenset(move)
     if len(keep) != spec.n - spec.k or not all(1 <= i <= spec.n for i in keep):
         raise ValueError(f"move {move!r} is not a keep-set of size {spec.n - spec.k}")
@@ -138,18 +161,14 @@ def apply_move(spec: GameSpec, x, move) -> Position:
             if c == 0:
                 raise ValueError(f"illegal move {move!r} from {x}: pile {i} is empty")
             out.append(c - 1)
-    return canonicalize(out)
+    return tuple(sorted(out))
 
 
 def hypergraph_legal_moves(spec: GameSpec, x) -> list[frozenset[int]]:
     """Playable hyperedges at x (all piles of the edge nonempty), in stable order."""
     if spec.hyperedges is None:
         raise ValueError("spec has no hyperedges")
-    pos = tuple(operator.index(c) for c in x)
-    _check_len(spec, pos)
-    if any(c < 0 for c in pos):
-        raise ValueError(f"pile sizes must be nonnegative, got {list(pos)}")
-    playable = [e for e in spec.hyperedges if all(pos[i - 1] > 0 for i in e)]
+    playable = _playable(spec, spec_position(spec, x))
     playable.sort(key=lambda e: tuple(sorted(e)))
     return playable
 
@@ -159,12 +178,11 @@ def apply_hypergraph_move(spec: GameSpec, x, edge) -> tuple[int, ...]:
 
     Coordinates keep their original order: hyperedges name fixed piles.
     """
-    pos = tuple(operator.index(c) for c in x)
-    _check_len(spec, pos)
     edge = frozenset(edge)
     if spec.hyperedges is None or edge not in spec.hyperedges:
         raise ValueError(f"{set(edge)} is not a hyperedge of the spec")
-    if any(pos[i - 1] <= 0 for i in edge):
+    pos = spec_position(spec, x)
+    if any(pos[i - 1] == 0 for i in edge):
         raise ValueError(f"illegal move {set(edge)} from {pos}: empty pile in edge")
     return tuple(c - 1 if i in edge else c for i, c in enumerate(pos, start=1))
 
@@ -175,17 +193,16 @@ def successors(spec: GameSpec, x) -> list:
     Canonical positions for plain NIM(n, k); raw (order-preserving) tuples for
     hypergraph specs.
     """
+    return _children(spec, spec_position(spec, x))
+
+
+def _children(spec: GameSpec, x: Position) -> list:
+    """``successors`` of a position ``spec_position`` has already checked."""
     if spec.hyperedges is not None:
-        succ = {apply_hypergraph_move(spec, x, e) for e in hypergraph_legal_moves(spec, x)}
-        return sorted(succ)
-    x = canonicalize(x)
-    _check_len(spec, x)
-    n, k = spec.n, spec.k
-    positive = [i for i in range(n) if x[i] > 0]
-    if len(positive) < k:
-        return []
+        return sorted({tuple(c - 1 if i in e else c for i, c in enumerate(x, start=1))
+                       for e in _playable(spec, x)})
     succ = set()
-    for reduced in itertools.combinations(positive, k):
+    for reduced in itertools.combinations([i for i, c in enumerate(x) if c > 0], spec.k):
         child = list(x)
         for i in reduced:
             child[i] -= 1

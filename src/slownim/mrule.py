@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .game import GameSpec, Position, canonicalize
+from .game import GameSpec, Position, _require_plain, canonicalize, plain_position
 from .game import is_terminal  # noqa: F401 -- looked up here by perfbench/tracing.py
 
 
@@ -35,17 +35,17 @@ class MRulePlayout:
         return len(self.moves)
 
 
-def _check_spec(spec: GameSpec | None, x: Position) -> None:
+def _position(x, spec: GameSpec | None) -> Position:
+    """Sorted x, checked as a NIM(k+1, k) position (of spec, when given)."""
     if spec is None:
+        x = canonicalize(x)
         if len(x) < 2:
             raise ValueError("the M-rule needs n = k + 1 >= 2 piles")
-        return
-    if spec.hyperedges is not None:
-        raise ValueError("the M-rule is defined for plain NIM(k+1, k) only")
+        return x
+    _require_plain(spec, "the M-rule")
     if spec.n != spec.k + 1:
         raise ValueError(f"the M-rule needs n = k + 1, got n={spec.n} k={spec.k}")
-    if len(x) != spec.n:
-        raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")
+    return plain_position(x, spec.k)
 
 
 def _e_index(x: Position) -> int:
@@ -70,8 +70,7 @@ def _step(x: Position, keep: int) -> Position:
 
 def m_move(x, spec: GameSpec | None = None) -> Position:
     """One M-rule move; the result is sorted without re-sorting."""
-    x = canonicalize(x)
-    _check_spec(spec, x)
+    x = _position(x, spec)
     if x[1] == 0:   # at most one nonempty pile: no k piles to reduce
         raise ValueError(f"{x} is terminal; no move exists")
     return _step(x, _e_index(x))
@@ -80,8 +79,7 @@ def m_move(x, spec: GameSpec | None = None) -> Position:
 def m_count(x, spec: GameSpec | None = None) -> MRulePlayout:
     """Play the M-rule from x until no move remains; the playout length
     equals the remoteness of x."""
-    x = canonicalize(x)
-    _check_spec(spec, x)
+    x = _position(x, spec)
     moves: list[int] = []
     trace = [x]
     cur = x

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .game import canonicalize
+from .game import plain_position
 from .fast import remoteness_fast
 
 
@@ -42,9 +42,7 @@ def _twelve(v: int) -> int:
 
 def nim43_status(x) -> Nim43Verdict:
     """Evaluate the case rules on a 4-pile position; exactly one clause fires."""
-    x = canonicalize(x)
-    if len(x) != 4:
-        raise ValueError(f"expected 4 piles, got {len(x)}")
+    x = plain_position(x, 3)
     x1, x2, x3, x4 = x
     case = (x1 + x2 + x3 + x4) % 3
     gap = x3 - x2 - x1

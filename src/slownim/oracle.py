@@ -32,7 +32,9 @@ import itertools
 import os
 from functools import lru_cache
 
-from .game import GameSpec, Position, canonicalize, plain_position, successors
+from .game import (GameSpec, Position, _children, _require_plain, plain_position,
+                   spec_position)
+from .game import successors  # noqa: F401 -- looked up here by perfbench/tracing.py
 
 MAX_STATES_ENV = "SLOWNIM_MAX_STATES"
 DEFAULT_MAX_STATES = 1_000_000
@@ -56,20 +58,6 @@ def _state_limit(max_states: int | None) -> int:
     return max_states
 
 
-def _root_position(spec: GameSpec, x) -> tuple[int, ...]:
-    if spec.hyperedges is not None:
-        pos = tuple(int(c) for c in x)
-        if len(pos) != spec.n:
-            raise ValueError(f"position has {len(pos)} piles, spec wants {spec.n}")
-        if any(c < 0 for c in pos):
-            raise ValueError("pile sizes must be nonnegative")
-        return pos
-    pos = canonicalize(x)
-    if len(pos) != spec.n:
-        raise ValueError(f"position has {len(pos)} piles, spec wants {spec.n}")
-    return pos
-
-
 def _solve(spec: GameSpec, root, combine, memo: dict, limit: int) -> int:
     """Fill memo bottom-up with combine(successor values); iterative on purpose
     so deep positions cannot blow the recursion stack."""
@@ -82,7 +70,7 @@ def _solve(spec: GameSpec, root, combine, memo: dict, limit: int) -> int:
             stack.pop()
             continue
         if succ is None:
-            succ = successors(spec, pos)
+            succ = _children(spec, pos)
             stack[-1] = (pos, succ)
         missing = [s for s in succ if s not in memo]
         if missing:
@@ -127,7 +115,7 @@ def _sg_combine(values: list[int]) -> int:
 def remoteness_oracle(spec: GameSpec, x, *, memo: dict | None = None,
                       max_states: int | None = None) -> int:
     """Game length under optimal play (winner minimizes, loser maximizes)."""
-    root = _root_position(spec, x)
+    root = spec_position(spec, x)
     if memo is None:
         memo = {}
     return _solve(spec, root, _remoteness_combine, memo, _state_limit(max_states))
@@ -136,7 +124,7 @@ def remoteness_oracle(spec: GameSpec, x, *, memo: dict | None = None,
 def sg_oracle(spec: GameSpec, x, *, memo: dict | None = None,
               max_states: int | None = None) -> int:
     """Sprague-Grundy value: mex of the successor values."""
-    root = _root_position(spec, x)
+    root = spec_position(spec, x)
     if memo is None:
         memo = {}
     return _solve(spec, root, _sg_combine, memo, _state_limit(max_states))
@@ -221,11 +209,6 @@ def _lattice(spec: GameSpec, bound: int, limit: int):
     return masks, criticals
 
 
-def _require_plain(spec: GameSpec, what: str) -> None:
-    if spec.hyperedges is not None:
-        raise ValueError(f"{what} is defined for plain NIM specs only")
-
-
 def critical_oracle(spec: GameSpec, m: int, bound: int, *,
                     max_states: int | None = None) -> set[Position]:
     """Positions of remoteness m, with coordinates <= bound, that dominate no
@@ -249,9 +232,7 @@ def m_of_oracle(spec: GameSpec, x, bound: int, *, max_states: int | None = None)
     bound only has to be >= max(x); a smaller one raises ValueError.
     """
     _require_plain(spec, "m_of_oracle")
-    x = canonicalize(x)
-    if len(x) != spec.n:
-        raise ValueError(f"position has {len(x)} piles, spec wants {spec.n}")
+    x = spec_position(spec, x)
     if x[-1] > bound:
         raise ValueError(f"{x} does not fit in the grid of bound {bound}")
     masks, _ = _lattice(spec, bound, _state_limit(max_states))

@@ -1,11 +1,15 @@
 """Command-line behavior: output schema, exit codes, batch mode, REPL."""
 
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slownim.cli import MAX_TRACE_MOVES, main
 
@@ -272,3 +276,76 @@ def test_play_terminal_start():
 def test_play_wrong_shape():
     proc = play(["play", "--k", "2", "1,2,3,4"], "")
     assert proc.returncode == 2
+
+
+# Fuzz of main(argv): sizes stay small so every valid command runs in
+# milliseconds.  "@name" tokens stand for the batch files of the fixture.
+BAD_TOKENS = st.sampled_from(["", "x", "1.5", "-", ",", "3,", "1e3", "--k", "nan"])
+
+
+def _int(lo, hi):
+    """A decimal token in [lo, hi], or now and then a malformed one."""
+    return st.integers(0, 4).flatmap(
+        lambda r: BAD_TOKENS if r == 0 else st.integers(lo, hi).map(str))
+
+
+def _req(flag, value):
+    return value.map(lambda v: [flag, v])
+
+
+def _opt(flag, value):
+    """Nothing, or ``flag`` followed by one value token."""
+    return st.one_of(st.just([]), _req(flag, value))
+
+
+def _flags(*names):
+    return st.lists(st.sampled_from(names), unique=True)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+POSITION = st.one_of(
+    st.lists(_int(-1, 6), max_size=5),
+    st.lists(st.integers(0, 6).map(str), min_size=1, max_size=5).map(
+        lambda ps: [",".join(ps)]))
+ARGV = st.one_of(
+    _argv(st.just(["analyze"]), _req("--k", _int(-1, 3)),
+          _flags("--oracle", "--json", "--trace"), POSITION),
+    _argv(st.just(["verify"]), _req("--k", _int(-1, 3)), _opt("--max", _int(-1, 4)),
+          _opt("--positions", st.sampled_from(["@good", "@wide", "@junk", "@missing"])),
+          _flags("--appendix"), _opt("--conjecture", _int(-1, 3))),
+    _argv(st.just(["enumerate"]), _opt("--k", _int(-1, 3)), _req("--m", _int(-1, 6)),
+          st.one_of(st.just([]), st.tuples(_int(-1, 4), _int(-1, 3)).map(
+              lambda nk: ["--oracle", *nk])),
+          _opt("--max", _int(-1, 4))),
+    _argv(st.just(["bench"]), _req("--k", _int(-1, 3)), _opt("--bits", _int(-1, 8)),
+          _opt("--reps", _int(-1, 2)), _opt("--seed", _int(-1, 9))),
+    st.lists(BAD_TOKENS, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def batch_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("batch")
+    files = {"@good": "3,3,3\n1 1 2  # comment\n", "@wide": "1,2,3,4,5\n",
+             "@junk": "1,x,3\n"}
+    for name, text in files.items():
+        (root / name[1:]).write_text(text, encoding="utf-8")
+    paths = {name: str(root / name[1:]) for name in files}
+    paths["@missing"] = str(root / "missing")
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=ARGV)
+def test_main_never_raises_and_exits_0_to_3(batch_files, argv):
+    argv = [batch_files.get(t, t) for t in argv]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:    # argparse's usage errors
+            assert exc.code == 2, argv
+            code = 2
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

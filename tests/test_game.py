@@ -142,6 +142,16 @@ def test_hypergraph_moves_and_application():
         apply_hypergraph_move(spec, (1, 1, 1), frozenset({1, 3}))
 
 
+def test_plain_moves_reject_hypergraph_specs():
+    # keep-index 3 of the sorted (1, 2, 3) would reduce piles 2 and 1 (as
+    # given): {1, 2} is not an edge, so no plain move may be offered
+    spec = GameSpec(3, 2, hyperedges={frozenset({1, 3}), frozenset({2, 3})})
+    with pytest.raises(ValueError):
+        legal_moves(spec, (3, 1, 2))
+    with pytest.raises(ValueError):
+        apply_move(spec, (3, 1, 2), 3)
+
+
 def test_complete_hypergraph_matches_plain_game():
     for n in range(2, 6):
         for k in range(1, n + 1):

@@ -56,8 +56,21 @@ def test_consistency_scan_is_clean():
     assert nim43_consistency(12) == []
 
 
-@settings(max_examples=300)
-@given(st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+# Uniform 60-bit piles almost never reach the gap and deficit clauses: they
+# need x3 - x2 - x1 near 0 or x1 + x2 + x3 - 2*x4 below 0.  Near-equal piles
+# b + [-30, 30] reach the surplus clauses (surplus near b); piles
+# (a, b, a+b+d, a+b+e) with small d, e put both the gap and the surplus near
+# 0, where every clause fires.  Both keep the piles at 57 to 60 bits.
+NEAR_EQUAL = st.integers(2**59, 2**60 - 31).flatmap(
+    lambda b: st.lists(st.integers(b - 30, b + 30), min_size=4, max_size=4))
+GAP_TIGHT = st.tuples(st.integers(2**56, 2**59 - 1), st.integers(2**56, 2**59 - 1),
+                      st.integers(-30, 30), st.integers(-30, 30)).map(
+    lambda t: (t[0], t[1], t[0] + t[1] + t[2], t[0] + t[1] + t[3]))
+
+
+@settings(max_examples=600)
+@given(st.one_of(st.lists(st.integers(0, 2**60 - 1), min_size=4, max_size=4),
+                 NEAR_EQUAL, GAP_TIGHT))
 def test_matches_solver_at_scale(coords):
     x = tuple(sorted(coords))
     assert nim43_status(x).status == remoteness_fast(x, 3).status

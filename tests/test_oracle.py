@@ -4,7 +4,14 @@ import itertools
 
 import pytest
 
-from slownim.game import GameSpec, complete_hypergraph, is_terminal
+from slownim.game import (
+    GameSpec,
+    apply_hypergraph_move,
+    complete_hypergraph,
+    hypergraph_legal_moves,
+    is_terminal,
+    successors,
+)
 from slownim.oracle import (
     ResourceLimitError,
     _dominated_sorted,
@@ -81,6 +88,20 @@ def test_hypergraph_positions_keep_their_order():
     spec = GameSpec(2, 1, hyperedges={frozenset({1})})
     assert remoteness_oracle(spec, (3, 1)) == 3
     assert remoteness_oracle(spec, (1, 3)) == 1
+
+
+def test_hypergraph_positions_are_checked_like_plain_ones():
+    spec = GameSpec(3, 2, hyperedges={frozenset({1, 3}), frozenset({2, 3})})
+    calls = [lambda x: remoteness_oracle(spec, x), lambda x: sg_oracle(spec, x),
+             lambda x: is_terminal(spec, x), lambda x: successors(spec, x),
+             lambda x: hypergraph_legal_moves(spec, x),
+             lambda x: apply_hypergraph_move(spec, x, {2, 3})]
+    bad = [((2.7, 1, 1), TypeError), (("3", 1, 1), TypeError),
+           ((-1, 1, 1), ValueError), ((1, 1), ValueError)]
+    for call in calls:
+        for x, error in bad:
+            with pytest.raises(error):
+                call(x)
 
 
 def test_oracle_matches_complete_hypergraph_formulation():
