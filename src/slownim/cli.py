@@ -265,6 +265,8 @@ def cmd_bench(args) -> int:
     k, bits, reps = args.k, args.bits, args.reps
     if reps < 1:
         raise ValueError(f"--reps must be positive, got {reps}")
+    if bits < 0:
+        raise ValueError(f"--bits must be nonnegative, got {bits}")
     rng = random.Random(args.seed)
     top = 1 << bits
     total = 0.0

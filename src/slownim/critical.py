@@ -10,7 +10,8 @@ the m-critical positions are exactly:
   (the exceptional positions).
 
 ``enumerate_critical`` generates both branches directly as bounded sorted
-partitions with parity filters.  ``check_conjecture`` probes the conjectured
+partitions, filtered by the parity rules of ``oracle._parity`` and
+``fast._exceptional``.  ``check_conjecture`` probes the conjectured
 generalization to arbitrary (n, k) -- k*m <= sum(x) < k*(m+1) and
 max(x) <= m for every m-critical x -- against the brute-force oracle and
 *reports* violations instead of asserting, since the statement is unproven.
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fast import _exceptional
 from .game import GameSpec, Position, canonicalize, plain_position
-from .oracle import ResourceLimitError, critical_oracle
+from .oracle import ResourceLimitError, _basic, _parity, critical_oracle
 
 
 @dataclass
@@ -54,14 +56,9 @@ def is_m_critical(x, k: int, m: int) -> str | None:
     x = plain_position(x, k)
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    total = sum(x)
-    evens = sum(1 for c in x if c % 2 == 0)
-    if total == k * m and x[-1] <= m:
-        if m % 2 == 0 and evens == len(x):
-            return "A"
-        if m % 2 == 1 and evens == 1:
-            return "A"
-    if total == k * m + k - 1 and x[-1] < m and m % 2 == 0 and evens == 0:
+    if _basic(x, k) == m:
+        return "A"
+    if _exceptional(x, k) == m:
         return "B"
     return None
 
@@ -98,15 +95,10 @@ def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> Cri
                 )
             branches[z] = wanted_branch
 
-    if m % 2 == 0:
-        grab((z for z in _sorted_partitions(k * m, n, 0, m)
-              if all(c % 2 == 0 for c in z)), "A")
-        if m > 0:
-            grab((z for z in _sorted_partitions(k * m + k - 1, n, 0, m - 1)
-                  if all(c % 2 == 1 for c in z)), "B")
-    else:
-        grab((z for z in _sorted_partitions(k * m, n, 0, m)
-              if sum(1 for c in z if c % 2 == 0) == 1), "A")
+    grab((z for z in _sorted_partitions(k * m, n, 0, m) if _parity(z, m)), "A")
+    if m % 2 == 0:      # an odd m has no exceptional positions to filter
+        grab((z for z in _sorted_partitions(k * m + k - 1, n, 0, m - 1)
+              if _exceptional(z, k) is not None), "B")
     return CriticalReport(m=m, positions=tuple(sorted(branches)), branches=branches)
 
 

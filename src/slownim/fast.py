@@ -9,12 +9,17 @@ the player to move loses) can be read off without searching the game tree:
   positions z dominated by x (see ``oracle.is_basic``).
 
 B(x) itself is found through E(x), the best *even* b(z) over dominated basic
-z.  A maximal even-valued witness can be assumed to look like ``(2s,
-even-rounded middle piles, b, ..., b)``: coordinates from some cutoff t
-upwards all equal b, coordinates strictly between 1 and t are x_i rounded
-down to even, and the first coordinate is a free even slack 2s balancing the
-stone count.  ``b_t`` maximizes b over candidates of that shape for one
-cutoff t; ``E_value`` takes the best over all cutoffs in one pass.  Then
+z.  With e_i = x_i rounded down to even, an even b is attainable exactly
+when sum(min(e_i, b)) >= k*b (lower the first pile to balance the stone
+count), so for sorted x
+
+    E(x) = 2 * min over j = 2..n of floor(P_j / 2(j - 1)),
+
+where P_j = e_1 + ... + e_j; ``E_value`` computes it in one streaming pass.
+The paper builds the same value per cutoff: ``b_t`` is the best even b over
+witnesses ``(2s, even-rounded middle piles, b, ..., b)`` whose coordinates
+from the cutoff t upwards all equal b, and E(x) = max over t of ``b_t``.
+Then
 
     B(x) = E(x)                   when E(x) >  E(x') + 1,
     B(x) = E(x') + 1              when E(x) <  E(x') + 1,
@@ -30,7 +35,9 @@ sorts once (``game.plain_position``), then private kernels take the tuple.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
 
 # canonicalize, e_index and m_move go unused: perfbench/tracing.py wraps them here.
 from .game import Position, canonicalize, plain_position  # noqa: F401
@@ -44,12 +51,14 @@ class AlgorithmInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class EValue:
-    """E(x) with its witness: the cutoff t and the basic position realizing it.
+    """E(x) with its witness: a basic position realizing it and its cutoff.
 
-    ``value`` is always attained -- the cutoff t = 2 always admits the
-    candidate (0, b, ..., b) with b = x_2 rounded down to even -- so there is
-    no "minus infinity" case at this level (individual cutoffs can still be
-    infeasible; see ``b_t``).
+    ``value`` is 2 * min over j = 2..n of floor(P_j / 2(j - 1)), P_j the sum
+    of the first j piles rounded down to even; it is always attained, so
+    there is no "minus infinity" case at this level.  ``witness_z`` takes
+    min(e_i, value) on every pile, less the surplus stones on the first, and
+    ``witness_t`` is the cutoff of that shape: ``b_t(x, k, witness_t)`` equals
+    ``value``, while other cutoffs may be infeasible (see ``b_t``).
     """
 
     value: int
@@ -98,48 +107,29 @@ def _exceptional(x: Position, k: int) -> int | None:
     return m
 
 
-def _cutoff_q(x: Position, k: int, t: int, middle: int) -> int | None:
-    """Largest feasible q = b/2 for cutoff t, or None.
-
-    ``middle`` is the sum of the even-rounded coordinates strictly between
-    the first one and the cutoff.  The candidate must balance
-    2s + middle + (k + 2 - t) * 2q == k * 2q with 0 <= 2s <= x_1, keep
-    2q <= x_t for the pinned coordinates, and stay under the cap b:
-    infeasibility cannot be repaired by a smaller q, so the cutoff is
-    simply rejected.
-    """
-    n = k + 1
-    if t == 2:
-        q = x[1] // 2
-    else:
-        q = (2 * (x[0] // 2) + middle) // (2 * (t - 2))
-        if t <= n:
-            q = min(q, x[t - 1] // 2)
-        if 2 * q * (t - 2) < middle:   # would need negative slack 2s
-            return None
-    if t >= 3 and x[t - 2] // 2 > q:   # even-rounded middle pile above the cap
-        return None
-    return q
-
-
-def _candidate(x: Position, t: int, q: int, middle: int) -> Position:
-    """Materialize the witness for (t, q); comes out already sorted."""
-    slack = 2 * q * (t - 2) - middle
-    z = [slack]
-    z.extend(2 * (c // 2) for c in x[1:t - 1])
-    z.extend([2 * q] * (len(x) - (t - 1)))
-    return tuple(z)
-
-
 def b_t(x, k: int, t: int) -> int | None:
     """Best even b(z) over witnesses with cutoff t, or None when the shape is
-    infeasible for this t."""
+    infeasible for this t.
+
+    The witness is (2s, x_2, ..., x_{t-1} rounded down to even, b, ..., b).
+    It must balance 2s + middle + (k + 2 - t) * b == k * b with
+    0 <= 2s <= x_1, keep b <= x_t for the pinned coordinates, and stay at or
+    above every middle pile: infeasibility cannot be repaired by a smaller b,
+    so the cutoff is simply rejected.
+    """
     x = plain_position(x, k)
     if not 2 <= t <= k + 2:
         raise ValueError(f"t must lie in 2..{k + 2}, got {t}")
+    if t == 2:
+        return 2 * (x[1] // 2)
     middle = sum(2 * (c // 2) for c in x[1:t - 1])
-    q = _cutoff_q(x, k, t, middle)
-    return None if q is None else 2 * q
+    q = (2 * (x[0] // 2) + middle) // (2 * (t - 2))
+    if t <= k + 1:
+        q = min(q, x[t - 1] // 2)
+    # A negative slack 2s, or a middle pile above b, rules the cutoff out.
+    if 2 * q * (t - 2) < middle or x[t - 2] // 2 > q:
+        return None
+    return 2 * q
 
 
 def E_value(x, k: int) -> EValue:
@@ -151,18 +141,14 @@ def E_value(x, k: int) -> EValue:
 
 
 def _E(x: Position, k: int) -> EValue:
-    best_q = -1
-    best_t = -1
-    best_middle = 0
-    middle = 0
-    for t in range(2, k + 3):
-        if t >= 3:
-            middle += 2 * (x[t - 2] // 2)
-        q = _cutoff_q(x, k, t, middle)
-        if q is not None and q > best_q:
-            best_q, best_t, best_middle = q, t, middle
-    z = _candidate(x, best_t, best_q, best_middle)
-    return EValue(value=2 * best_q, witness_t=best_t, witness_z=z)
+    sums = accumulate(c & -2 for c in x)    # P_j over piles rounded down to even
+    next(sums)                              # P_1 bounds nothing
+    b = 2 * min(p // (2 * j) for j, p in enumerate(sums, 1))
+    low = bisect_left(x, b)                 # piles below b keep e_i, the rest b
+    z = [c & -2 for c in islice(x, low)]
+    z.extend(repeat(b, len(x) - low))
+    z[0] -= sum(z) - k * b                  # the surplus is at most z[0]
+    return EValue(value=b, witness_t=max(2, low + 1), witness_z=tuple(z))
 
 
 def _lift_certificate(keep: int, ev: EValue) -> BasicCertificate:

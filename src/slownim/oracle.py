@@ -73,21 +73,16 @@ def _solve(spec: GameSpec, root, combine, memo: dict, limit: int) -> int:
             succ = _children(spec, pos)
             stack[-1] = (pos, succ)
         missing = [s for s in succ if s not in memo]
-        if missing:
-            if len(memo) + len(stack) + len(missing) > limit:
-                raise ResourceLimitError(
-                    f"state limit {limit} exceeded while solving {root} "
-                    f"(set {MAX_STATES_ENV} or pass max_states to raise it)",
-                    explored=len(memo),
-                )
-            stack.extend((s, None) for s in missing)
-            continue
-        if len(memo) >= limit:
+        # Pending states must fit, and so must pos itself once it is solved.
+        if len(memo) + (len(stack) + len(missing) if missing else 1) > limit:
             raise ResourceLimitError(
                 f"state limit {limit} exceeded while solving {root} "
                 f"(set {MAX_STATES_ENV} or pass max_states to raise it)",
                 explored=len(memo),
             )
+        if missing:
+            stack.extend((s, None) for s in missing)
+            continue
         memo[pos] = combine([memo[s] for s in succ])
         stack.pop()
     return memo[root]
@@ -137,16 +132,18 @@ def is_basic(z, k: int) -> int | None:
     when b is even / all odd except exactly one when b is odd.  Note b = 0 is
     a valid (falsy) return; compare against None.
     """
-    z = plain_position(z, k)
+    return _basic(plain_position(z, k), k)
+
+
+def _basic(z: Position, k: int) -> int | None:
     b, rem = divmod(sum(z), k)
-    if rem:
-        return None
-    if z[-1] > b:
-        return None
+    return b if not rem and z[-1] <= b and _parity(z, b) else None
+
+
+def _parity(z: Position, b: int) -> bool:
+    """The parity rule of a basic position of value b."""
     evens = sum(1 for c in z if c % 2 == 0)
-    if b % 2 == 0:
-        return b if evens == len(z) else None
-    return b if evens == 1 else None
+    return evens == len(z) if b % 2 == 0 else evens == 1
 
 
 def _dominated_sorted(x: Position):
@@ -171,12 +168,8 @@ def b_oracle(x, k: int) -> int:
     x = plain_position(x, k)
     best = 0
     for z in _dominated_sorted(x):
-        total = sum(z)
-        b, rem = divmod(total, k)
-        if rem or b <= best or z[-1] > b:
-            continue
-        evens = sum(1 for c in z if c % 2 == 0)
-        if (b % 2 == 0 and evens == len(z)) or (b % 2 == 1 and evens == 1):
+        b, rem = divmod(sum(z), k)
+        if not rem and b > best and z[-1] <= b and _parity(z, b):
             best = b
     return best
 

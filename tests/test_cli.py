@@ -220,11 +220,12 @@ def test_bench_runs_and_reports(capsys):
 
 
 def test_bench_rejects_nonpositive_reps(capsys):
-    for reps in ("0", "-2"):
-        code, out, err = run(capsys, "bench", "--k", "3", "--reps", reps)
+    for flag, value in (("--reps", "0"), ("--reps", "-2"), ("--bits", "-1")):
+        code, out, err = run(capsys, "bench", "--k", "3", flag, value)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert flag in err
 
 
 def test_bad_state_limit_env_is_a_usage_error(capsys, monkeypatch):

@@ -50,12 +50,22 @@ def test_E_value_examples():
 
 
 def test_E_witness_is_a_dominated_basic_position():
-    for x in itertools.combinations_with_replacement(range(9), 3):
-        ev = E_value(x, 2)
+    """E(x) is the best of the paper's per-cutoff values b_t, and its witness
+    is a sorted basic position below x.  At k = 1000 with 60-bit piles no
+    oracle reaches, so b_t is the only check of the closed form there."""
+    small = ((k, x) for k, bound in ((1, 30), (2, 9), (3, 8), (5, 5))
+             for x in itertools.combinations_with_replacement(range(bound + 1), k + 1))
+    large = ((K_LARGE, sorted(x)) for x in _large_positions(random.Random(15)))
+    for k, x in itertools.chain(small, large):
+        ev = E_value(x, k)
+        per_cutoff = (b_t(x, k, t) for t in range(2, k + 3))
+        assert ev.value == max(b for b in per_cutoff if b is not None), (k, x)
         assert ev.value % 2 == 0
-        assert is_basic(ev.witness_z, 2) == ev.value
-        assert dominates(x, ev.witness_z)
-        assert b_t(x, 2, ev.witness_t) == ev.value
+        z = ev.witness_z
+        assert list(z) == sorted(z)
+        assert is_basic(z, k) == ev.value
+        assert dominates(x, z)
+        assert b_t(x, k, ev.witness_t) == ev.value
 
 
 def test_E_is_the_best_even_b_under_B():
