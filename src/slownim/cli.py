@@ -271,7 +271,7 @@ def cmd_bench(args) -> int:
     top = 1 << bits
     total = 0.0
     for rep in range(reps):
-        x = canonicalize([rng.randrange(top) for _ in range(k + 1)])
+        x = plain_position([rng.randrange(top) for _ in range(k + 1)], k)
         start = time.perf_counter()
         result = remoteness_fast(x, k)
         elapsed = time.perf_counter() - start

@@ -28,6 +28,16 @@ where x' is the M-rule successor of x.  Equality of the two sides never
 happens for a non-exceptional position; hitting it would falsify the rule,
 so it raises ``AlgorithmInvariantError`` rather than guessing.
 
+x' is never built.  It is x less one stone on every pile but the kept one,
+and it is still sorted, so e'_i = e_i for odd x_i and for the kept pile, and
+e'_i = e_i - 2 for every other even x_i.  One loop over x (``_E_pair``)
+keeps P_j and P'_j side by side.  Each ratio P_j / (j - 1) falls while the
+next even-rounded pile lies below it; once a pile reaches it, it never falls
+again (the piles are sorted), so each minimum is read where its ratio stops
+falling and the loop ends when both have stopped.  Only the branch taken
+gets a certificate: E(x)'s witness from x, or the lifted witness of E(x'),
+also built straight from x.
+
 Everything runs in O(n) arithmetic operations after one sort, so positions
 with 100k piles of 2^60 stones are fine: each public function validates and
 sorts once (``game.plain_position``), then private kernels take the tuple.
@@ -41,12 +51,13 @@ from itertools import accumulate, islice, repeat
 
 # canonicalize, e_index and m_move go unused: perfbench/tracing.py wraps them here.
 from .game import Position, canonicalize, plain_position  # noqa: F401
-from .mrule import _e_index, _step, e_index, m_move  # noqa: F401
+from .mrule import _e_index, e_index, m_move  # noqa: F401
 
 
 class AlgorithmInvariantError(RuntimeError):
-    """An internal impossibility (per the theory) was observed; the input and
-    intermediate values are in the message for a bug report."""
+    """An internal impossibility (per the theory) was observed; the sizes and
+    intermediate values, and x itself when it has at most 20 piles, are in
+    the message for a bug report."""
 
 
 @dataclass(frozen=True)
@@ -144,36 +155,88 @@ def _E(x: Position, k: int) -> EValue:
     sums = accumulate(c & -2 for c in x)    # P_j over piles rounded down to even
     next(sums)                              # P_1 bounds nothing
     b = 2 * min(p // (2 * j) for j, p in enumerate(sums, 1))
+    return EValue(value=b, witness_t=max(2, bisect_left(x, b) + 1),
+                  witness_z=_witness(x, k, b))
+
+
+def _witness(x: Position, k: int, b: int) -> Position:
+    """The basic z <= x with b(z) = b for b = E(x): min(e_i, b) on every pile,
+    less the surplus stones on the first."""
     low = bisect_left(x, b)                 # piles below b keep e_i, the rest b
     z = [c & -2 for c in islice(x, low)]
     z.extend(repeat(b, len(x) - low))
     z[0] -= sum(z) - k * b                  # the surplus is at most z[0]
-    return EValue(value=b, witness_t=max(2, low + 1), witness_z=tuple(z))
+    return tuple(z)
 
 
-def _lift_certificate(keep: int, ev: EValue) -> BasicCertificate:
-    """Turn a witness for the M-rule successor x' into one for x itself: add
-    the removed stone back on every pile except the kept one.  The result has
-    exactly one even pile and value b + 1."""
-    z = [c + 1 for c in ev.witness_z]
-    z[keep - 1] = ev.witness_z[keep - 1]
+def _E_pair(x: Position, keep: int) -> tuple[int, int]:
+    """(E(x), E(x')) in one loop over sorted x, x' its M-move keeping the
+    1-based pile ``keep``; x' itself is never built.
+
+    p and q hold P_j and P'_j.  Each ratio P_j / (j - 1), read from j = 2 on,
+    stops falling at the first next pile e with e * (j - 1) >= P_j and never
+    falls again, so its minimum is the ratio there.
+    """
+    keep -= 1
+    p = q = 0
+    for i, c in enumerate(islice(x, 2)):
+        e = c & -2
+        p += e
+        q += e if c & 1 or i == keep else e - 2
+    jp = jq = 1                             # j - 1 of the prefix each sum holds
+    p_falls = q_falls = True
+    for i in range(2, len(x)):
+        c = x[i]
+        e = c & -2
+        if p_falls:
+            if e * jp < p:
+                p += e
+                jp += 1
+            else:
+                p_falls = False
+        if q_falls:
+            if not (c & 1 or i == keep):
+                e -= 2
+            if e * jq < q:
+                q += e
+                jq += 1
+            else:
+                q_falls = False
+        if not (p_falls or q_falls):
+            break
+    return 2 * (p // (2 * jp)), 2 * (q // (2 * jq))
+
+
+def _lift_certificate(x: Position, k: int, keep: int, b: int) -> BasicCertificate:
+    """The certificate for odd b = E(x') + 1, built from x without x'.
+
+    E(x')'s witness is z'_i = min(e'_i, b - 1), less the surplus on the first
+    pile; adding the removed stone back on every pile but ``keep`` gives a
+    basic z <= x with exactly one even pile and b(z) = b.  Off the kept pile
+    e'_i + 1 is x_i rounded down to odd, so the lifted pile is
+    min((x_i - 1) | 1, b), and the kept one min(e_i, b - 1).
+    """
+    high = bisect_left(x, b)                # piles at or above b lift to b
+    z = [(c - 1) | 1 for c in islice(x, high)]
+    z.extend(repeat(b, len(x) - high))
+    z[keep - 1] = min(x[keep - 1] & -2, b - 1)
+    z[0] -= sum(z) - k * b                  # the same surplus as z'[0] loses
     z.sort()
-    return BasicCertificate(z=tuple(z), b=ev.value + 1)
+    return BasicCertificate(z=tuple(z), b=b)
 
 
 def _b_from_e(x: Position, k: int, keep: int) -> tuple[int, BasicCertificate]:
     """B(x) and its certificate; x sorted, not exceptional, not terminal."""
-    # x' goes first and unnamed, so it is freed before E(x)'s witness is built.
-    ev_next = _E(_step(x, keep), k)
-    ev = _E(x, k)
-    if ev.value > ev_next.value + 1:
-        return ev.value, BasicCertificate(z=ev.witness_z, b=ev.value)
-    if ev.value < ev_next.value + 1:
-        del ev      # E(x)'s witness is not needed: free it before lifting
-        return ev_next.value + 1, _lift_certificate(keep, ev_next)
+    e, e_next = _E_pair(x, keep)
+    if e > e_next + 1:
+        return e, BasicCertificate(z=_witness(x, k, e), b=e)
+    if e < e_next + 1:
+        return e_next + 1, _lift_certificate(x, k, keep, e_next + 1)
+    shown = f", x={x}" if len(x) <= 20 else ""
     raise AlgorithmInvariantError(
-        f"E(x) == E(x') + 1 == {ev.value} at x={x}, x'={_step(x, keep)}; "
-        "this should be impossible for a non-exceptional position"
+        f"E(x) == E(x') + 1 at k={k}, n={len(x)}, keep={keep}: E(x)={e}, "
+        f"E(x')={e_next}{shown}; this should be impossible for a "
+        "non-exceptional position"
     )
 
 

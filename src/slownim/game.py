@@ -70,12 +70,11 @@ def complete_hypergraph(n: int, k: int) -> frozenset[frozenset[int]]:
 
 def canonicalize(raw) -> Position:
     """Sorted tuple of the pile sizes; rejects empty input and negative piles."""
-    coords = [operator.index(c) for c in raw]
+    coords = sorted(map(operator.index, raw))
     if not coords:
         raise ValueError("a position needs at least one pile")
-    if any(c < 0 for c in coords):
+    if coords[0] < 0:   # the smallest pile
         raise ValueError(f"pile sizes must be nonnegative, got {coords}")
-    coords.sort()
     return tuple(coords)
 
 

@@ -220,12 +220,15 @@ def test_bench_runs_and_reports(capsys):
 
 
 def test_bench_rejects_nonpositive_reps(capsys):
-    for flag, value in (("--reps", "0"), ("--reps", "-2"), ("--bits", "-1")):
+    for flag, value, named in (("--reps", "0", "--reps"), ("--reps", "-2", "--reps"),
+                               ("--bits", "-1", "--bits"),
+                               ("--k", "0", "k must be a positive integer"),
+                               ("--k", "-1", "k must be a positive integer")):
         code, out, err = run(capsys, "bench", "--k", "3", flag, value)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert flag in err
+        assert named in err
 
 
 def test_bad_state_limit_env_is_a_usage_error(capsys, monkeypatch):

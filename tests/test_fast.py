@@ -68,6 +68,34 @@ def test_E_witness_is_a_dominated_basic_position():
         assert b_t(x, k, ev.witness_t) == ev.value
 
 
+def test_E_pair_and_certificate_match_the_built_successor():
+    """The one-loop kernel gives E(x) and E(x') as _E does on x and on the
+    built successor x', and the certificate is the witness of the branch
+    taken: E(x)'s, or E(x')'s with a stone added back off the kept pile."""
+    small = ((k, x) for k, bound in ((1, 30), (2, 16), (3, 10), (4, 8), (5, 6))
+             for x in itertools.combinations_with_replacement(range(bound + 1), k + 1))
+    large = ((K_LARGE, tuple(sorted(x))) for x in _large_positions(random.Random(16)))
+    lifted = 0
+    for k, x in itertools.chain(small, large):
+        if x[1] == 0:   # terminal: no M-move
+            continue
+        keep = mrule._e_index(x)
+        ev, ev_next = fast._E(x, k), fast._E(mrule._step(x, keep), k)
+        assert fast._E_pair(x, keep) == (ev.value, ev_next.value), (k, x, keep)
+        res = remoteness_fast(x, k)
+        if res.branch != "E-rule":
+            continue
+        if ev.value > ev_next.value + 1:
+            z = ev.witness_z
+        else:
+            z = [c + 1 for c in ev_next.witness_z]
+            z[keep - 1] -= 1
+            z = tuple(sorted(z))
+            lifted += 1
+        assert res.certificate == fast.BasicCertificate(z, res.remoteness), (k, x)
+    assert lifted > 1000
+
+
 def test_E_is_the_best_even_b_under_B():
     for x in itertools.combinations_with_replacement(range(9), 3):
         b = b_oracle(x, 2)
@@ -170,6 +198,22 @@ def test_invariant_error_is_exported():
     assert issubclass(AlgorithmInvariantError, RuntimeError)
 
 
+def test_invariant_error_message_is_bounded(monkeypatch):
+    """A forced E(x) == E(x') + 1 names k, n, keep and both values; it shows
+    x only when x is small."""
+    monkeypatch.setattr(fast, "_E_pair", lambda x, keep: (4, 3))
+    with pytest.raises(AlgorithmInvariantError) as small:
+        remoteness_fast((2, 2, 4), 2)
+    assert "x=(2, 2, 4)" in str(small.value)
+    x = [2**60 - 2 * i for i in range(K_LARGE + 1)]
+    with pytest.raises(AlgorithmInvariantError) as large:
+        remoteness_fast(x, K_LARGE)
+    message = str(large.value)
+    assert len(message) < 200
+    for part in ("k=1000", "n=1001", "keep=1", "E(x)=4", "E(x')=3"):
+        assert part in message
+
+
 K_LARGE = 1000
 
 
@@ -238,3 +282,18 @@ def test_one_solve_canonicalizes_once(monkeypatch):
         calls.clear()
         remoteness_fast(x, K_LARGE)
         assert len(calls) == 1
+
+
+def test_one_solve_builds_no_successor(monkeypatch):
+    """E(x') is read off x: neither E-rule branch builds the M-move x'."""
+    def forbidden(x, keep):
+        raise AssertionError("remoteness_fast built the M-move successor")
+
+    for module in (fast, mrule):
+        monkeypatch.setattr(module, "_step", forbidden, raising=False)
+    branches = set()
+    for seed in (11, 12, 13):
+        for x in _large_positions(random.Random(seed)):
+            res = remoteness_fast(x, K_LARGE)
+            branches.add((res.branch, res.status))
+    assert {("E-rule", "P"), ("E-rule", "N")} <= branches

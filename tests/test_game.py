@@ -32,6 +32,10 @@ def test_canonicalize_rejects_bad_input():
         canonicalize(())
     with pytest.raises(ValueError):
         canonicalize((1, -1))
+    # The negative pile is neither first nor last in input order.
+    for raw in ((5, 3, -1, 7), (0, 2**60, -2**61, 4)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            canonicalize(raw)
     with pytest.raises(TypeError):
         canonicalize((1.5, 2))
 
