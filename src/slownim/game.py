@@ -74,8 +74,16 @@ def canonicalize(raw) -> Position:
     if not coords:
         raise ValueError("a position needs at least one pile")
     if coords[0] < 0:   # the smallest pile
-        raise ValueError(f"pile sizes must be nonnegative, got {coords}")
+        raise _negative_piles(coords)
     return tuple(coords)
+
+
+def _negative_piles(coords) -> ValueError:
+    """The error for piles with negative entries; its length does not grow
+    with the pile count."""
+    negative = [c for c in coords if c < 0]
+    return ValueError(f"pile sizes must be nonnegative, got {len(negative)} "
+                      f"negative pile(s), the smallest {min(negative)}")
 
 
 def plain_position(x, k) -> Position:
@@ -96,7 +104,7 @@ def spec_position(spec: GameSpec, x) -> Position:
     else:
         pos = tuple(operator.index(c) for c in x)
         if any(c < 0 for c in pos):
-            raise ValueError(f"pile sizes must be nonnegative, got {list(pos)}")
+            raise _negative_piles(pos)
     if len(pos) != spec.n:
         raise ValueError(f"position has {len(pos)} piles, spec wants {spec.n}")
     return pos
@@ -190,21 +198,54 @@ def successors(spec: GameSpec, x) -> list:
     """Distinct successor positions of x, in stable sorted order.
 
     Canonical positions for plain NIM(n, k); raw (order-preserving) tuples for
-    hypergraph specs.
+    hypergraph specs.  The kernel emits them in no set order; this sorts.
     """
-    return _children(spec, spec_position(spec, x))
+    return sorted(_children(spec, spec_position(spec, x)))
 
 
 def _children(spec: GameSpec, x: Position) -> list:
-    """``successors`` of a position ``spec_position`` has already checked."""
+    """Distinct successors of a position ``spec_position`` has already
+    checked, in no set order.
+
+    Plain specs: x is sorted, so its empty piles come first, and a move keeps
+    all of them, lowers k of the others and keeps the remaining n - k -
+    (empty piles).  Equal piles are interchangeable, so only moves that keep
+    the top piles of each run of equal piles and lower its bottom ones count:
+    every kept pile j is the last of its run or has j + 1 kept too, and every
+    lowered pile j is the first of its run or has j - 1 lowered too.  Such a
+    child is sorted, and different for every move, so no child is sorted or
+    deduplicated here.  The kernel chooses the smaller side: it restores x[j]
+    at the kept piles of x - 1, or lowers the k piles of x, walking from the
+    end of each run inward.  Its candidates are the combinations of nonempty
+    piles of size min(kept, k): never more than the C(m, k) ways to lower k
+    of the m nonempty piles.
+    """
     if spec.hyperedges is not None:
-        return sorted({tuple(c - 1 if i in e else c for i, c in enumerate(x, start=1))
-                       for e in _playable(spec, x)})
-    succ = set()
-    for reduced in itertools.combinations([i for i, c in enumerate(x) if c > 0], spec.k):
-        child = list(x)
-        for i in reduced:
-            child[i] -= 1
-        child.sort()
-        succ.add(tuple(child))
-    return sorted(succ)
+        return list({tuple(c - 1 if i in e else c for i, c in enumerate(x, start=1))
+                     for e in _playable(spec, x)})
+    n = len(x)
+    zeros = x.count(0)
+    keep = n - spec.k - zeros
+    if keep < 0:
+        return []
+    # low is one list comprehension, copied per child.  A tuple low built from
+    # a generator and copied with list() raised the peak RSS of the three
+    # verify-sparse commands run in one process from 26.5 to 28.4 MB.
+    low = [c and c - 1 for c in x]
+    if keep <= spec.k:  # restore kept piles, from the top of each run down
+        base, changed, count, order = low, x, keep, range(n - 1, zeros - 1, -1)
+    else:               # lower piles, from the bottom of each run up
+        base, changed, count, order = list(x), low, spec.k, range(zeros, n)
+    step = -order.step  # from j toward the end of its run taken first
+    children = []
+    for chosen in itertools.combinations(order, count):
+        child = base.copy()
+        last = order.start + step   # the pile taken before j, or past the end
+        for j in chosen:
+            if last != j + step and x[j] == x[j + step]:    # j + step not taken
+                break
+            child[j] = changed[j]
+            last = j
+        else:
+            children.append(tuple(child))
+    return children

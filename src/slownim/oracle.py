@@ -66,23 +66,26 @@ def _solve(spec: GameSpec, root, combine, memo: dict, limit: int) -> int:
     stack = [(root, None)]
     while stack:
         pos, succ = stack[-1]
-        if pos in memo:
-            stack.pop()
-            continue
         if succ is None:
+            if pos in memo:
+                stack.pop()
+                continue
             succ = _children(spec, pos)
-            stack[-1] = (pos, succ)
-        missing = [s for s in succ if s not in memo]
-        # Pending states must fit, and so must pos itself once it is solved.
-        if len(memo) + (len(stack) + len(missing) if missing else 1) > limit:
-            raise ResourceLimitError(
-                f"state limit {limit} exceeded while solving {root} "
-                f"(set {MAX_STATES_ENV} or pass max_states to raise it)",
-                explored=len(memo),
-            )
-        if missing:
-            stack.extend((s, None) for s in missing)
-            continue
+            missing = [s for s in succ if s not in memo]
+            # Pending states must fit, and so must pos itself once it is solved.
+            if len(memo) + (len(stack) + len(missing) if missing else 1) > limit:
+                raise ResourceLimitError(
+                    f"state limit {limit} exceeded while solving {root} "
+                    f"(set {MAX_STATES_ENV} or pass max_states to raise it)",
+                    explored=len(memo),
+                )
+            if missing:
+                stack[-1] = (pos, succ)
+                stack.extend((s, None) for s in missing)
+                continue
+        # No successor of pos is unsolved: none was missing, or this is the
+        # second visit.  Depth first, everything pushed above pos is solved by
+        # then, and the first visit's check already counted pos and all of it.
         memo[pos] = combine([memo[s] for s in succ])
         stack.pop()
     return memo[root]

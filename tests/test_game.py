@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from slownim.game import (
     GameSpec,
+    _children,
     apply_hypergraph_move,
     apply_move,
     canonicalize,
@@ -15,6 +16,7 @@ from slownim.game import (
     hypergraph_legal_moves,
     is_terminal,
     legal_moves,
+    spec_position,
     successors,
 )
 
@@ -38,6 +40,15 @@ def test_canonicalize_rejects_bad_input():
             canonicalize(raw)
     with pytest.raises(TypeError):
         canonicalize((1.5, 2))
+
+
+def test_negative_pile_error_is_bounded():
+    piles = [2**60] * 100_000 + [-1]
+    hyper = GameSpec(len(piles), 1, hyperedges={frozenset({1})})
+    for check in (lambda: canonicalize(piles), lambda: spec_position(hyper, piles)):
+        with pytest.raises(ValueError, match="nonnegative") as exc:
+            check()
+        assert len(str(exc.value)) < 200
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=7))
@@ -132,6 +143,36 @@ def test_successors_examples():
     assert successors(NIM32, (1, 1, 2)) == [(0, 0, 2), (0, 1, 1)]
     assert successors(NIM32, (0, 0, 5)) == []
     assert successors(GameSpec(3, 3), (1, 2, 3)) == [(0, 1, 2)]
+
+
+def _children_by_definition(spec, x):
+    """Every choice of k nonempty piles, one stone off each, sorted, deduped."""
+    succ = set()
+    for reduced in itertools.combinations([i for i, c in enumerate(x) if c > 0], spec.k):
+        child = list(x)
+        for i in reduced:
+            child[i] -= 1
+        child.sort()
+        succ.add(tuple(child))
+    return succ
+
+
+def test_children_match_the_definition():
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            spec = GameSpec(n, k)
+            for x in itertools.combinations_with_replacement(range(5), n):
+                got = _children(spec, x)
+                assert len(set(got)) == len(got), (n, k, x)
+                assert set(got) == _children_by_definition(spec, x), (n, k, x)
+                assert all(list(y) == sorted(y) for y in got), (n, k, x)
+                assert successors(spec, x) == sorted(got), (n, k, x)
+
+
+def test_children_of_distinct_piles_stay_few():
+    # NIM(20, 1) at 1..20 has 20 children: the kernel may try the C(20, 1)
+    # piles to lower, but not the C(38, 19) multisets of 19 run tops to keep.
+    assert len(_children(GameSpec(20, 1), tuple(range(1, 21)))) == 20
 
 
 def test_hypergraph_moves_and_application():

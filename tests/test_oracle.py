@@ -206,6 +206,24 @@ def test_resource_limit_reports_explored_count():
     assert exc.value.explored <= 20
 
 
+@pytest.mark.parametrize("spec, root", [(GameSpec(3, 2), (9, 11, 13)),
+                                        (GameSpec(4, 3), (5, 6, 7, 8)),
+                                        (GameSpec(5, 3), (2, 3, 4, 5, 6))])
+def test_state_cap_is_exactly_the_reachable_count(spec, root):
+    memo: dict = {}
+    want = remoteness_oracle(spec, root, memo=memo)
+    reachable = len(memo)
+    assert remoteness_oracle(spec, root, max_states=reachable) == want
+    with pytest.raises(ResourceLimitError) as exc:
+        remoteness_oracle(spec, root, max_states=reachable - 1)
+    assert exc.value.explored < reachable - 1
+    # Every successor known: solving the root alone must still fit.
+    del memo[root]
+    with pytest.raises(ResourceLimitError) as exc:
+        remoteness_oracle(spec, root, memo=memo, max_states=reachable - 1)
+    assert exc.value.explored == reachable - 1
+
+
 def test_resource_limit_env_var(monkeypatch):
     monkeypatch.setenv("SLOWNIM_MAX_STATES", "10")
     with pytest.raises(ResourceLimitError):
