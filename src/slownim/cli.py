@@ -19,6 +19,7 @@ from the environment variable SLOWNIM_MAX_STATES (default 1,000,000).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -49,12 +50,9 @@ def _parse_position(tokens) -> tuple[int, ...]:
     if not parts:
         raise ValueError("empty position")
     try:
-        coords = tuple(int(p) for p in parts)
+        return tuple(int(p) for p in parts)
     except ValueError:
         raise ValueError(f"position must be decimal integers, got {parts!r}")
-    if any(c < 0 for c in coords):
-        raise ValueError("pile sizes must be nonnegative")
-    return coords
 
 
 def _record(x, k: int, remoteness: int, branch: str, keep, trace) -> dict:
@@ -150,20 +148,15 @@ def cmd_verify(args) -> int:
     if min(args.max or 0, args.conjecture or 0) < 0:
         raise ValueError("--max and --conjecture must be nonnegative")
     batch = _read_batch(args.positions, k) if args.positions else []
-
-    import itertools
+    grid = (() if args.max is None else
+            itertools.combinations_with_replacement(range(args.max + 1), k + 1))
 
     memo: dict = {}
     mismatches: list[str] = []
     checked = 0
+    limit = None
     try:
-        if args.max is not None:
-            grid = itertools.combinations_with_replacement(
-                range(args.max + 1), k + 1)
-            for x in grid:
-                mismatches.extend(_check_one(spec, x, memo, args.appendix))
-                checked += 1
-        for x in batch:
+        for x in itertools.chain(grid, batch):
             mismatches.extend(_check_one(spec, x, memo, args.appendix))
             checked += 1
         if args.conjecture is not None:
@@ -174,48 +167,35 @@ def cmd_verify(args) -> int:
                     print(f"finding: conjecture violation at m={m}: "
                           f"{violation}")
     except ResourceLimitError as exc:
-        print(f"resource limit: explored {exc.explored} states "
-              f"(raise {MAX_STATES_ENV}); partial report follows",
-              file=sys.stderr)
-        for line in mismatches:
-            print(f"mismatch: {line}")
-        print(f"checked {checked} positions before the limit")
-        return EXIT_RESOURCE
+        limit = exc
 
     for line in mismatches:
         print(f"mismatch: {line}")
+    if limit is not None:       # the partial report is out; main reports the limit
+        print(f"checked {checked} positions before the limit")
+        raise limit
     print(f"checked {checked} positions, {len(mismatches)} mismatches")
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.oracle:
-            n, k = args.oracle
-            spec = GameSpec(n, k)
-            if args.max is None:
-                print("error: --oracle mode needs --max BOUND",
-                      file=sys.stderr)
-                return EXIT_USAGE
-            positions = critical_oracle(spec, args.m, args.max)
-            for x in sorted(positions):
-                branch = (is_m_critical(x, k, args.m) or "-"
-                          if n == k + 1 else "-")
-                print(f"{','.join(map(str, x))}  {branch}")
-            print(f"total {len(positions)} positions with value {args.m}")
-            return EXIT_OK
-        if args.k is None:
-            print("error: give --k K (closed form) or --oracle N K",
-                  file=sys.stderr)
+    if args.oracle:
+        n, k = args.oracle
+        spec = GameSpec(n, k)
+        if args.max is None:
+            print("error: --oracle mode needs --max BOUND", file=sys.stderr)
             return EXIT_USAGE
-        report = enumerate_critical(args.k, args.m)
-        for x in sorted(report.positions):
-            print(f"{','.join(map(str, x))}  {report.branches[x]}")
-        print(f"total {len(report.positions)} positions with value {args.m}")
-        return EXIT_OK
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        branches = {x: (is_m_critical(x, k, args.m) or "-") if n == k + 1 else "-"
+                    for x in critical_oracle(spec, args.m, args.max)}
+    elif args.k is None:
+        print("error: give --k K (closed form) or --oracle N K", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        branches = enumerate_critical(args.k, args.m).branches
+    for x in sorted(branches):
+        print(f"{','.join(map(str, x))}  {branches[x]}")
+    print(f"total {len(branches)} positions with value {args.m}")
+    return EXIT_OK
 
 
 def _prompt_move(spec: GameSpec, x) -> int | None:
@@ -354,8 +334,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ResourceLimitError as exc:
-        print(f"resource limit: explored {exc.explored} states "
-              f"(raise {MAX_STATES_ENV})", file=sys.stderr)
+        print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:     # bad input or unreadable file
         print(f"error: {exc}", file=sys.stderr)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
 
 # canonicalize, e_index and m_move go unused: perfbench/tracing.py wraps them here.
-from .game import Position, canonicalize, plain_position  # noqa: F401
+from .game import Position, _describe, canonicalize, plain_position  # noqa: F401
 from .mrule import _e_index, e_index, m_move  # noqa: F401
 
 
@@ -232,24 +232,20 @@ def _b_from_e(x: Position, k: int, keep: int) -> tuple[int, BasicCertificate]:
         return e, BasicCertificate(z=_witness(x, k, e), b=e)
     if e < e_next + 1:
         return e_next + 1, _lift_certificate(x, k, keep, e_next + 1)
-    shown = f", x={x}" if len(x) <= 20 else ""
     raise AlgorithmInvariantError(
         f"E(x) == E(x') + 1 at k={k}, n={len(x)}, keep={keep}: E(x)={e}, "
-        f"E(x')={e_next}{shown}; this should be impossible for a "
+        f"E(x')={e_next}, x={_describe(x)}; this should be impossible for a "
         "non-exceptional position"
     )
 
 
 def b_fast(x, k: int) -> int:
     """B(x) for non-exceptional x, via E(x) and E(M-move of x)."""
-    x = plain_position(x, k)
-    if _exceptional(x, k) is not None:
-        raise ValueError(
-            f"{x} is exceptional; its remoteness is the witness m, not B(x)"
-        )
-    if x[1] == 0:   # terminal: at most one nonempty pile
-        return 0
-    return _b_from_e(x, k, _e_index(x))[0]
+    result = remoteness_fast(x, k)
+    if result.branch == "exceptional":
+        raise ValueError(f"{_describe(result.position)} is exceptional; its "
+                         "remoteness is the witness m, not B(x)")
+    return result.remoteness
 
 
 def remoteness_fast(x, k: int) -> AnalysisResult:
@@ -270,5 +266,5 @@ def best_move(x, k: int) -> int:
     """1-based keep-index of an optimal move (the M-rule move) from sorted x."""
     x = plain_position(x, k)
     if x[1] == 0:
-        raise ValueError(f"{x} is terminal; no move exists")
+        raise ValueError(f"{_describe(x)} is terminal; no move exists")
     return _e_index(x)

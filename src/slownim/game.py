@@ -86,6 +86,12 @@ def _negative_piles(coords) -> ValueError:
                       f"negative pile(s), the smallest {min(negative)}")
 
 
+def _describe(x: Position) -> str:
+    """x for an error message: the piles when there are at most 20, else
+    their count, so the message stays short at any size."""
+    return str(x) if len(x) <= 20 else f"a position of {len(x)} piles"
+
+
 def plain_position(x, k) -> Position:
     """Canonical x, checked as a NIM(k+1, k) position with k a positive int."""
     if not isinstance(k, int) or k < 1:
@@ -166,7 +172,8 @@ def apply_move(spec: GameSpec, x, move) -> Position:
             out.append(c)
         else:
             if c == 0:
-                raise ValueError(f"illegal move {move!r} from {x}: pile {i} is empty")
+                raise ValueError(f"illegal move {move!r} from {_describe(x)}: "
+                                 f"pile {i} is empty")
             out.append(c - 1)
     return tuple(sorted(out))
 
@@ -190,7 +197,8 @@ def apply_hypergraph_move(spec: GameSpec, x, edge) -> tuple[int, ...]:
         raise ValueError(f"{set(edge)} is not a hyperedge of the spec")
     pos = spec_position(spec, x)
     if any(pos[i - 1] == 0 for i in edge):
-        raise ValueError(f"illegal move {set(edge)} from {pos}: empty pile in edge")
+        raise ValueError(f"illegal move {set(edge)} from {_describe(pos)}: "
+                         "empty pile in edge")
     return tuple(c - 1 if i in edge else c for i, c in enumerate(pos, start=1))
 
 

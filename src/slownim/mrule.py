@@ -18,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .game import GameSpec, Position, _require_plain, canonicalize, plain_position
+from .game import (GameSpec, Position, _describe, _require_plain, canonicalize,
+                   plain_position)
 from .game import is_terminal  # noqa: F401 -- looked up here by perfbench/tracing.py
 
 
@@ -72,7 +73,7 @@ def m_move(x, spec: GameSpec | None = None) -> Position:
     """One M-rule move; the result is sorted without re-sorting."""
     x = _position(x, spec)
     if x[1] == 0:   # at most one nonempty pile: no k piles to reduce
-        raise ValueError(f"{x} is terminal; no move exists")
+        raise ValueError(f"{_describe(x)} is terminal; no move exists")
     return _step(x, _e_index(x))
 
 

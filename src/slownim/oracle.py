@@ -32,8 +32,8 @@ import itertools
 import os
 from functools import lru_cache
 
-from .game import (GameSpec, Position, _children, _require_plain, plain_position,
-                   spec_position)
+from .game import (GameSpec, Position, _children, _describe, _require_plain,
+                   plain_position, spec_position)
 from .game import successors  # noqa: F401 -- looked up here by perfbench/tracing.py
 
 MAX_STATES_ENV = "SLOWNIM_MAX_STATES"
@@ -75,8 +75,9 @@ def _solve(spec: GameSpec, root, combine, memo: dict, limit: int) -> int:
             # Pending states must fit, and so must pos itself once it is solved.
             if len(memo) + (len(stack) + len(missing) if missing else 1) > limit:
                 raise ResourceLimitError(
-                    f"state limit {limit} exceeded while solving {root} "
-                    f"(set {MAX_STATES_ENV} or pass max_states to raise it)",
+                    f"state limit {limit} exceeded with {len(memo)} states "
+                    f"explored while solving {_describe(root)} (set "
+                    f"{MAX_STATES_ENV} or pass max_states to raise it)",
                     explored=len(memo),
                 )
             if missing:
@@ -230,6 +231,6 @@ def m_of_oracle(spec: GameSpec, x, bound: int, *, max_states: int | None = None)
     _require_plain(spec, "m_of_oracle")
     x = spec_position(spec, x)
     if x[-1] > bound:
-        raise ValueError(f"{x} does not fit in the grid of bound {bound}")
+        raise ValueError(f"{_describe(x)} does not fit in the grid of bound {bound}")
     masks, _ = _lattice(spec, bound, _state_limit(max_states))
     return masks[x].bit_length() - 1

@@ -93,6 +93,10 @@ def test_analyze_usage_errors(capsys):
     code, _, err = run(capsys, "analyze", "--k", "4", "1,2,3")
     assert code == 2
     assert "exceeds pile count" in err
+    code, out, err = run(capsys, "analyze", "--k", "2", "3,-1,2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "nonnegative" in err
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--k", "2", "1,x,3"])
     assert exc.value.code == 2
@@ -168,12 +172,32 @@ def test_verify_batch_rejects_wrong_width(capsys, tmp_path):
     assert "expected 3" in err
 
 
+def test_verify_counts_grid_and_batch_together(capsys, tmp_path):
+    batch = tmp_path / "batch.txt"
+    batch.write_text("3,3,3\n1,1,2\n7,8,9\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--k", "2", "--max", "5",
+                       "--positions", str(batch))
+    assert code == 0
+    # 56 sorted grid positions with coordinates <= 5, then the 3 of the batch.
+    assert out.splitlines() == ["checked 59 positions, 0 mismatches"]
+
+
 def test_verify_resource_limit(capsys, monkeypatch):
     monkeypatch.setenv("SLOWNIM_MAX_STATES", "50")
     code, out, err = run(capsys, "verify", "--k", "2", "--max", "30")
     assert code == 3
-    assert "resource limit" in err
+    assert err.startswith("resource limit: state limit 50")
+    assert err.count("\n") == 1
     assert "before the limit" in out
+
+
+def test_enumerate_resource_limit_is_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("SLOWNIM_MAX_STATES", "50")
+    code, out, err = run(capsys, "enumerate", "--oracle", "4", "3",
+                         "--m", "6", "--max", "9")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: state limit 50")
+    assert err.count("\n") == 1
 
 
 def test_enumerate_closed_form(capsys):

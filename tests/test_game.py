@@ -19,6 +19,9 @@ from slownim.game import (
     spec_position,
     successors,
 )
+from slownim.fast import b_fast, best_move
+from slownim.mrule import m_move
+from slownim.oracle import ResourceLimitError, m_of_oracle, remoteness_oracle
 
 NIM32 = GameSpec(3, 2)
 
@@ -49,6 +52,31 @@ def test_negative_pile_error_is_bounded():
         with pytest.raises(ValueError, match="nonnegative") as exc:
             check()
         assert len(str(exc.value)) < 200
+
+
+def test_errors_naming_a_position_are_bounded():
+    """Errors name a position of more than 20 piles by its pile count."""
+    n = 100_001
+    near_terminal = [0] * (n - 1) + [5]
+    one_edge = GameSpec(n, 1, hyperedges={frozenset({1})})
+    cases = [
+        (lambda: b_fast((199_999,) * n, n - 1), ValueError, "exceptional"),
+        (lambda: best_move(near_terminal, n - 1), ValueError, "terminal"),
+        (lambda: m_move(near_terminal), ValueError, "terminal"),
+        (lambda: remoteness_oracle(GameSpec(n, 1), near_terminal, max_states=1),
+         ResourceLimitError, "state limit"),
+        (lambda: m_of_oracle(GameSpec(n, 1), near_terminal, 4), ValueError,
+         "does not fit"),
+        (lambda: apply_move(GameSpec(n, n - 1), near_terminal, n), ValueError,
+         "is empty"),
+        (lambda: apply_hypergraph_move(one_edge, [0] * n, {1}), ValueError,
+         "empty pile"),
+    ]
+    for call, error, words in cases:
+        with pytest.raises(error, match=words) as exc:
+            call()
+        message = str(exc.value)
+        assert len(message) < 200 and f"a position of {n} piles" in message
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=1, max_size=7))
