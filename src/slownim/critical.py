@@ -10,7 +10,7 @@ the m-critical positions are exactly:
   (the exceptional positions).
 
 ``enumerate_critical`` generates both branches directly as bounded sorted
-partitions, filtered by the parity rules of ``oracle._parity`` and
+tuples of one sum, filtered by the parity rules of ``oracle._parity`` and
 ``fast._exceptional``.  ``check_conjecture`` probes the conjectured
 generalization to arbitrary (n, k) -- k*m <= sum(x) < k*(m+1) and
 max(x) <= m for every m-critical x -- against the brute-force oracle and
@@ -20,10 +20,12 @@ max(x) <= m for every m-critical x -- against the brute-force oracle and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from .fast import _exceptional
 from .game import GameSpec, Position, canonicalize, plain_position
-from .oracle import ResourceLimitError, _basic, _parity, critical_oracle
+from .oracle import (ResourceLimitError, _basic, _parity, _sorted_below,
+                     critical_oracle)
 
 
 @dataclass
@@ -63,19 +65,6 @@ def is_m_critical(x, k: int, m: int) -> str | None:
     return None
 
 
-def _sorted_partitions(total: int, parts: int, lo: int, hi: int):
-    """Non-decreasing tuples of the given length in [lo, hi] summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    vmax = min(hi, total // parts)      # smallest part cannot exceed the mean
-    vmin = max(lo, total - hi * (parts - 1))
-    for v in range(vmin, vmax + 1):
-        for rest in _sorted_partitions(total - v, parts - 1, v, hi):
-            yield (v,) + rest
-
-
 def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> CriticalReport:
     """All m-critical positions of NIM(k+1, k), straight from the closed form."""
     if not isinstance(k, int) or k < 1:
@@ -83,22 +72,18 @@ def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> Cri
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
     n = k + 1
-    branches: dict[Position, str | None] = {}
-
-    def grab(candidates, wanted_branch):
-        for z in candidates:
-            if len(branches) >= max_positions:
-                raise ResourceLimitError(
-                    f"more than {max_positions} critical positions; "
-                    "raise max_positions to enumerate them all",
-                    explored=len(branches),
-                )
-            branches[z] = wanted_branch
-
-    grab((z for z in _sorted_partitions(k * m, n, 0, m) if _parity(z, m)), "A")
-    if m % 2 == 0:      # an odd m has no exceptional positions to filter
-        grab((z for z in _sorted_partitions(k * m + k - 1, n, 0, m - 1)
-              if _exceptional(z, k) is not None), "B")
+    # an odd m has no exceptional positions to filter
+    box_b = _sorted_below((m - 1,) * n, k * m + k - 1) if m % 2 == 0 else ()
+    tagged = chain(
+        ((z, "A") for z in _sorted_below((m,) * n, k * m) if _parity(z, m)),
+        ((z, "B") for z in box_b if _exceptional(z, k) is not None))
+    branches = dict(islice(tagged, max(max_positions, 0) + 1))
+    if len(branches) > max_positions:   # one candidate read past the cap
+        raise ResourceLimitError(
+            f"more than {max_positions} critical positions; "
+            "raise max_positions to enumerate them all",
+            explored=len(branches) - 1,
+        )
     return CriticalReport(m=m, positions=tuple(sorted(branches)), branches=branches)
 
 

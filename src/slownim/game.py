@@ -247,13 +247,14 @@ def _children(spec: GameSpec, x: Position) -> list:
     step = -order.step  # from j toward the end of its run taken first
     children = []
     for chosen in itertools.combinations(order, count):
-        child = base.copy()
         last = order.start + step   # the pile taken before j, or past the end
         for j in chosen:
             if last != j + step and x[j] == x[j + step]:    # j + step not taken
                 break
-            child[j] = changed[j]
             last = j
-        else:
+        else:   # copy after the check: n equal piles make n candidates, 1 child
+            child = base.copy()
+            for j in chosen:
+                child[j] = changed[j]
             children.append(tuple(child))
     return children

@@ -150,28 +150,42 @@ def _parity(z: Position, b: int) -> bool:
     return evens == len(z) if b % 2 == 0 else evens == 1
 
 
-def _dominated_sorted(x: Position):
-    """All non-decreasing tuples z with z[i] <= x[i]; exactly the sorted
-    positions dominated by sorted x."""
-    n = len(x)
-    z = [0] * n
-
-    def rec(i: int, lo: int):
-        if i == n:
-            yield tuple(z)
-            return
-        for v in range(lo, x[i] + 1):
-            z[i] = v
-            yield from rec(i + 1, v)
-
-    yield from rec(0, 0)
+def _sorted_below(top: Position, total: int | None = None):
+    """Every non-decreasing z with z[i] <= top[i] (top sorted), in
+    lexicographic order; only the z summing to total when it is given.
+    A loop, so any pile count works.  Entry i keeps to the values that let
+    the rest end in range (sum(top[i + 1:]) is the most the rest can add,
+    and n - i entries of at least z[i] the least), so no fill fails."""
+    n = len(top)
+    room = list(itertools.accumulate(reversed(top), initial=0))[::-1]
+    least, most = (0, room[0]) if total is None else (total, total)
+    z, high = [0] * n, [0] * n
+    i = s = 0                           # s = sum(z[:i])
+    while True:
+        while i < n:                    # fill z[i:] with their least values
+            high[i] = min(top[i], (most - s) // (n - i))
+            z[i] = max(z[i - 1] if i else 0, least - s - room[i + 1])
+            if z[i] > high[i]:          # at i = 0 only: the box holds no z
+                return
+            s += z[i]
+            i += 1
+        yield tuple(z)
+        i -= 1                          # back to the last entry below its high
+        while z[i] == high[i]:
+            if not i:
+                return
+            s -= z[i]
+            i -= 1
+        z[i] += 1
+        s += 1
+        i += 1
 
 
 def b_oracle(x, k: int) -> int:
     """Largest b(z) over basic z dominated by x, by exhaustive enumeration."""
     x = plain_position(x, k)
     best = 0
-    for z in _dominated_sorted(x):
+    for z in _sorted_below(x):
         b, rem = divmod(sum(z), k)
         if not rem and b > best and z[-1] <= b and _parity(z, b):
             best = b

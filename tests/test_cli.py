@@ -52,6 +52,10 @@ def test_analyze_text_output(capsys):
     assert "branch: terminal" in out
     assert "best move" not in out
 
+    code, out, _ = run(capsys, "analyze", "--k", "2", "--trace", "3,3,3")
+    assert code == 0
+    assert "trace: (3, 3, 3) -> (2, 2, 3) -> (1, 2, 2) -> (0, 1, 2) -> (0, 0, 1)\n" in out
+
 
 def test_analyze_oracle_flag(capsys):
     code, out, _ = run(capsys, "analyze", "--k", "2", "--json", "--oracle", "1,1,2")
@@ -215,6 +219,11 @@ def test_enumerate_closed_form(capsys):
     code, out, _ = run(capsys, "enumerate", "--k", "2", "--m", "0")
     assert "0,0,0  A" in out and "total 1 positions" in out
 
+    code, out, _ = run(capsys, "enumerate", "--k", "1000", "--m", "2")
+    assert code == 0
+    assert out.splitlines() == ["0" + ",2" * 1000 + "  A",
+                                "total 1 positions with value 2"]
+
 
 def test_enumerate_oracle_mode(capsys):
     code, out, _ = run(capsys, "enumerate", "--oracle", "5", "3",
@@ -234,6 +243,10 @@ def test_enumerate_usage_errors(capsys):
     code, _, err = run(capsys, "enumerate", "--m", "3")
     assert code == 2
     assert "--oracle" in err
+
+    code, out, err = run(capsys, "enumerate", "--k", "2", "--m", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_bench_runs_and_reports(capsys):

@@ -45,6 +45,10 @@ def test_enumerate_k2_m6():
 def test_enumerate_edge_cases():
     assert set(enumerate_critical(2, 0).positions) == {(0, 0, 0)}
     assert set(enumerate_critical(2, 1).positions) == {(0, 1, 1)}
+    big = (0,) + (2,) * 1000        # deeper than the recursion limit
+    assert enumerate_critical(1000, 2).branches == {big: "A"}
+    with pytest.raises(ValueError):
+        enumerate_critical(2, -1)
 
 
 def test_enumerate_respects_position_cap():

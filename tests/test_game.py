@@ -1,6 +1,7 @@
 """Game model: canonical positions, moves, terminality, hypergraph variant."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given
@@ -97,6 +98,8 @@ def test_spec_validation():
         GameSpec(3, 2, hyperedges=frozenset())
     with pytest.raises(ValueError):
         GameSpec(3, 2, hyperedges={frozenset({1, 5})})
+    with pytest.raises(ValueError):
+        GameSpec(3, 2, hyperedges={frozenset({1, 2}), frozenset()})
 
 
 def test_legal_moves_are_keep_indices_for_one_kept_pile():
@@ -146,6 +149,9 @@ def test_is_terminal():
     assert is_terminal(GameSpec(4, 3), (0, 0, 1, 2))
     assert not is_terminal(GameSpec(4, 3), (0, 1, 1, 2))
     assert is_terminal(GameSpec(2, 1), (0, 0))
+    spec = GameSpec(3, 2, hyperedges={frozenset({1, 2})})
+    assert is_terminal(spec, (0, 5, 5))
+    assert not is_terminal(spec, (1, 1, 0))
 
 
 @given(
@@ -203,9 +209,21 @@ def test_children_of_distinct_piles_stay_few():
     assert len(_children(GameSpec(20, 1), tuple(range(1, 21)))) == 20
 
 
+def test_children_of_one_long_run_take_linear_time():
+    # n equal piles give n candidate moves and one child, whichever side
+    # the kernel walks; a copy of the position per candidate costs seconds.
+    for k in (1, 50_000):
+        start = time.perf_counter()
+        children = _children(GameSpec(50_001, k), (5,) * 50_001)
+        assert time.perf_counter() - start < 1.0, k
+        assert len(children) == 1, k
+
+
 def test_hypergraph_moves_and_application():
     spec = GameSpec(3, 2, hyperedges={frozenset({1, 2}), frozenset({2, 3})})
     assert hypergraph_legal_moves(spec, (0, 1, 1)) == [frozenset({2, 3})]
+    with pytest.raises(ValueError):
+        hypergraph_legal_moves(NIM32, (1, 1, 1))
     assert apply_hypergraph_move(spec, (0, 1, 1), frozenset({2, 3})) == (0, 0, 0)
     # hyperedges address fixed piles: no sorting of the position
     assert apply_hypergraph_move(spec, (2, 1, 0), frozenset({1, 2})) == (1, 0, 0)

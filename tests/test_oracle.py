@@ -1,6 +1,8 @@
 """Brute-force ground truth: remoteness, SG values, basic positions, minimality."""
 
+import functools
 import itertools
+from operator import le
 
 import pytest
 
@@ -14,7 +16,7 @@ from slownim.game import (
 )
 from slownim.oracle import (
     ResourceLimitError,
-    _dominated_sorted,
+    _sorted_below,
     b_oracle,
     critical_oracle,
     is_basic,
@@ -90,6 +92,28 @@ def test_hypergraph_positions_keep_their_order():
     assert remoteness_oracle(spec, (1, 3)) == 1
 
 
+def test_oracles_match_recursive_definitions_on_mixed_edge_sizes():
+    # Edges of different sizes reach one state by paths of different
+    # lengths, so the iterative solver pushes some states twice and finds
+    # them already solved when it reaches the second copy.
+    spec = GameSpec(2, 1, hyperedges={frozenset({1}), frozenset({2}), frozenset({1, 2})})
+
+    @functools.cache
+    def remoteness(x):
+        values = [remoteness(y) for y in successors(spec, x)]
+        evens = [v for v in values if v % 2 == 0]
+        return 0 if not values else 1 + (min(evens) if evens else max(values))
+
+    @functools.cache
+    def sg(x):
+        values = {sg(y) for y in successors(spec, x)}
+        return next(g for g in itertools.count() if g not in values)
+
+    for x in itertools.product(range(6), repeat=2):
+        assert remoteness_oracle(spec, x) == remoteness(x), x
+        assert sg_oracle(spec, x) == sg(x), x
+
+
 def test_hypergraph_positions_are_checked_like_plain_ones():
     spec = GameSpec(3, 2, hyperedges={frozenset({1, 3}), frozenset({2, 3})})
     calls = [lambda x: remoteness_oracle(spec, x), lambda x: sg_oracle(spec, x),
@@ -128,6 +152,7 @@ def test_b_oracle_examples():
     assert b_oracle((1, 1, 2), 2) == 1
     assert b_oracle((3, 3, 3), 2) == 3
     assert b_oracle((2, 4, 6), 2) == 6
+    assert b_oracle((0,) * 1500, 1499) == 0     # deeper than the recursion limit
 
 
 def test_b_oracle_zero_exactly_on_terminal():
@@ -147,6 +172,9 @@ def test_critical_oracle_small_values():
     assert critical_oracle(NIM32, 0, 3) == {(0, 0, 0)}
     assert critical_oracle(NIM32, 1, 3) == {(0, 1, 1)}
     assert critical_oracle(NIM32, 6, 7) == {(0, 6, 6), (2, 4, 6), (3, 5, 5), (4, 4, 4)}
+    for m, bound in [(-1, 3), (1, -1)]:
+        with pytest.raises(ValueError):
+            critical_oracle(NIM32, m, bound)
 
 
 def test_critical_oracle_rejects_hypergraph_specs():
@@ -165,6 +193,24 @@ def test_m_of_needs_only_a_grid_holding_x():
     assert m_of_oracle(NIM32, (3, 3, 3), 3) == 4
     with pytest.raises(ValueError):
         m_of_oracle(NIM32, (3, 3, 3), 2)
+
+
+def _box(top) -> list:
+    """The sorted z <= top, by definition: the sorted grid up to max(top),
+    filtered coordinatewise."""
+    return [z for z in itertools.combinations_with_replacement(range(max(top) + 1), len(top))
+            if all(map(le, z, top))]
+
+
+def test_sorted_below_matches_definition():
+    for n in range(1, 5):
+        for top in itertools.combinations_with_replacement(range(6), n):
+            box = _box(top)
+            for total in [None, *range(sum(top) + 2)]:
+                want = [z for z in box if total is None or sum(z) == total]
+                assert list(_sorted_below(top, total)) == want, (top, total)
+    for total in (None, -3, 0):
+        assert list(_sorted_below((-1, -1, -1), total)) == []
 
 
 def _minimal_by_definition(values: dict) -> dict:
@@ -196,7 +242,7 @@ def test_lattice_matches_definitions(spec, bound):
     for v in range(max(values.values()) + 2):
         assert critical_oracle(spec, v, bound) == minimal.get(v, set()), v
     for x in values:
-        want = max(values[z] for z in _dominated_sorted(x))
+        want = max(values[z] for z in _box(x))
         assert m_of_oracle(spec, x, bound) == want, x
 
 
