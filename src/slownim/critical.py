@@ -9,9 +9,9 @@ the m-critical positions are exactly:
 * branch B: sum(x) == k*m + k - 1, max(x) < m, m even, all piles odd
   (the exceptional positions).
 
-``enumerate_critical`` generates both branches directly as bounded sorted
-tuples of one sum, filtered by the parity rules of ``oracle._parity`` and
-``fast._exceptional``.  ``check_conjecture`` probes the conjectured
+``enumerate_critical`` builds each branch from the halves w of its piles
+(z = 2w, or 2w + 1 when odd) as bounded sorted tuples of one sum, so every
+candidate it reads is a position.  ``check_conjecture`` probes the conjectured
 generalization to arbitrary (n, k) -- k*m <= sum(x) < k*(m+1) and
 max(x) <= m for every m-critical x -- against the brute-force oracle and
 *reports* violations instead of asserting, since the statement is unproven.
@@ -24,8 +24,7 @@ from itertools import chain, islice
 
 from .fast import _exceptional
 from .game import GameSpec, Position, canonicalize, plain_position
-from .oracle import (ResourceLimitError, _basic, _parity, _sorted_below,
-                     critical_oracle)
+from .oracle import ResourceLimitError, _basic, _sorted_below, critical_oracle
 
 
 @dataclass
@@ -71,12 +70,16 @@ def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> Cri
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if not isinstance(m, int) or m < 0:
         raise ValueError(f"m must be a nonnegative integer, got {m!r}")
-    n = k + 1
-    # an odd m has no exceptional positions to filter
-    box_b = _sorted_below((m - 1,) * n, k * m + k - 1) if m % 2 == 0 else ()
-    tagged = chain(
-        ((z, "A") for z in _sorted_below((m,) * n, k * m) if _parity(z, m)),
-        ((z, "B") for z in box_b if _exceptional(z, k) is not None))
+    h = m // 2
+    if m % 2:           # A only: one even pile e < m among k odd piles 2w + 1
+        tagged = ((tuple(sorted((e, *(2 * v + 1 for v in w)))), "A")
+                  for e in range(0, m, 2)
+                  for w in _sorted_below((h,) * k, (k * (m - 1) - e) // 2))
+    else:               # A: z = 2w, w <= h; B: z = 2w + 1 < m, sum k*m + k - 1
+        tagged = chain(
+            ((tuple(2 * v for v in w), "A") for w in _sorted_below((h,) * (k + 1), k * h)),
+            ((tuple(2 * v + 1 for v in w), "B")
+             for w in _sorted_below((h - 1,) * (k + 1), k * h - 1)))
     branches = dict(islice(tagged, max(max_positions, 0) + 1))
     if len(branches) > max_positions:   # one candidate read past the cap
         raise ResourceLimitError(

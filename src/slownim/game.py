@@ -146,16 +146,12 @@ def legal_moves(spec: GameSpec, x):
     """
     _require_plain(spec, "legal_moves")
     x = spec_position(spec, x)
-    n, k = spec.n, spec.k
-    positive = [i for i in range(1, n + 1) if x[i - 1] > 0]
-    if len(positive) < k:
+    n, k, z = spec.n, spec.k, x.count(0)  # x sorted: piles 1..z are empty and kept
+    if z > n - k:
         return []
-    moves = []
-    for reduced in itertools.combinations(positive, k):
-        keep = tuple(i for i in range(1, n + 1) if i not in reduced)
-        moves.append(keep[0] if n == k + 1 else keep)
-    moves.sort()
-    return moves
+    keeps = (tuple(range(1, z + 1)) + rest
+             for rest in itertools.combinations(range(z + 1, n + 1), n - k - z))
+    return [keep[0] for keep in keeps] if n == k + 1 else list(keeps)
 
 
 def apply_move(spec: GameSpec, x, move) -> Position:

@@ -1,6 +1,7 @@
 """m-critical positions: branch tests, closed-form enumeration, dominance."""
 
 import itertools
+import time
 
 import pytest
 
@@ -57,11 +58,17 @@ def test_enumerate_respects_position_cap():
 
 
 def test_enumerated_positions_all_pass_the_branch_test():
-    for k in (2, 3):
-        for m in range(9):
-            report = enumerate_critical(k, m)
-            for x in report.positions:
-                assert is_m_critical(x, k, m) == report.branches[x], (k, m, x)
+    # the closed form builds exactly the positions the definition accepts
+    for k in range(1, 6):
+        for m in range(13):
+            box = itertools.combinations_with_replacement(range(m + 1), k + 1)
+            expected = {x: b for x in box if (b := is_m_critical(x, k, m))}
+            assert enumerate_critical(k, m).branches == expected, (k, m)
+    start = time.perf_counter()
+    report = enumerate_critical(1000, 40)   # built, not filtered: fast at large k
+    assert time.perf_counter() - start < 5.0
+    assert len(report.positions) == 627
+    assert all(is_m_critical(x, 1000, 40) == b for x, b in report.branches.items())
 
 
 def test_enumeration_matches_oracle():

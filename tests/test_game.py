@@ -106,6 +106,9 @@ def test_legal_moves_are_keep_indices_for_one_kept_pile():
     assert legal_moves(NIM32, (1, 1, 2)) == [1, 2, 3]
     assert legal_moves(NIM32, (0, 1, 2)) == [1]
     assert legal_moves(NIM32, (0, 0, 5)) == []
+    start = time.perf_counter()     # linear, not cubic, in the pile count
+    assert legal_moves(GameSpec(2001, 2000), range(1, 2002)) == list(range(1, 2002))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_legal_moves_are_keep_sets_otherwise():
