@@ -26,12 +26,13 @@ import sys
 import time
 
 from .critical import check_conjecture, enumerate_critical, is_m_critical
-from .fast import remoteness_fast
+from .fast import _analyze, remoteness_fast
 from .game import GameSpec, apply_move, canonicalize, legal_moves, plain_position
-from .mrule import m_count
+from .mrule import _playout_length, m_count
 from .nim43 import nim43_status
 from .oracle import (DEFAULT_MAX_STATES, MAX_STATES_ENV, ResourceLimitError,
-                     critical_oracle, remoteness_oracle)
+                     _remoteness_combine, _solve, _state_limit, critical_oracle,
+                     remoteness_oracle)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -118,12 +119,17 @@ def _read_batch(path: str, k: int) -> list[tuple[int, ...]]:
     return positions
 
 
-def _check_one(spec: GameSpec, x, memo: dict, appendix: bool) -> list[str]:
-    """Compare the fast solver, oracle, and optimal-rule playout on x."""
+def _check_one(spec: GameSpec, x, memo: dict, max_states: int, lengths: dict,
+               appendix: bool) -> list[str]:
+    """Compare the fast solver, oracle, and optimal-rule playout on x, a
+    sorted NIM(k+1, k) tuple that is already checked.  ``memo`` and
+    ``lengths`` hold the oracle's values and the playout lengths for one
+    command; every playout position is a state the oracle solved first, so
+    the state cap bounds both."""
     problems = []
-    fast = remoteness_fast(x, spec.k).remoteness
-    slow = remoteness_oracle(spec, x, memo=memo)
-    walk = m_count(x, spec).length
+    fast = _analyze(x, spec.k).remoteness
+    slow = _solve(spec, x, _remoteness_combine, memo, max_states)
+    walk = _playout_length(x, lengths)
     if not fast == slow == walk:
         problems.append(f"{x}: fast={fast} oracle={slow} playout={walk}")
     if appendix:
@@ -150,14 +156,17 @@ def cmd_verify(args) -> int:
     batch = _read_batch(args.positions, k) if args.positions else []
     grid = (() if args.max is None else
             itertools.combinations_with_replacement(range(args.max + 1), k + 1))
+    max_states = _state_limit(None)
 
     memo: dict = {}
+    lengths: dict = {}
     mismatches: list[str] = []
     checked = 0
     limit = None
     try:
         for x in itertools.chain(grid, batch):
-            mismatches.extend(_check_one(spec, x, memo, args.appendix))
+            mismatches.extend(_check_one(spec, x, memo, max_states, lengths,
+                                         args.appendix))
             checked += 1
         if args.conjecture is not None:
             bound = args.max if args.max is not None else args.conjecture + 1

@@ -26,6 +26,9 @@ from .fast import _exceptional
 from .game import GameSpec, Position, canonicalize, plain_position
 from .oracle import ResourceLimitError, _basic, _sorted_below, critical_oracle
 
+# enumerate_critical's default cap on the piles its positions hold in total.
+MAX_PILES = 1_000_000
+
 
 @dataclass
 class CriticalReport:
@@ -64,8 +67,14 @@ def is_m_critical(x, k: int, m: int) -> str | None:
     return None
 
 
-def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> CriticalReport:
-    """All m-critical positions of NIM(k+1, k), straight from the closed form."""
+def enumerate_critical(k: int, m: int, *,
+                       max_positions: int | None = None) -> CriticalReport:
+    """All m-critical positions of NIM(k+1, k), straight from the closed form.
+
+    More than ``max_positions`` of them raise ``ResourceLimitError``.  By
+    default the cap counts stored piles: MAX_PILES // (k + 1) positions, but
+    never fewer than one.
+    """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if not isinstance(m, int) or m < 0:
@@ -80,10 +89,11 @@ def enumerate_critical(k: int, m: int, *, max_positions: int = 1_000_000) -> Cri
             ((tuple(2 * v for v in w), "A") for w in _sorted_below((h,) * (k + 1), k * h)),
             ((tuple(2 * v + 1 for v in w), "B")
              for w in _sorted_below((h - 1,) * (k + 1), k * h - 1)))
-    branches = dict(islice(tagged, max(max_positions, 0) + 1))
-    if len(branches) > max_positions:   # one candidate read past the cap
+    cap = max(1, MAX_PILES // (k + 1)) if max_positions is None else max_positions
+    branches = dict(islice(tagged, max(cap, 0) + 1))
+    if len(branches) > cap:             # one candidate read past the cap
         raise ResourceLimitError(
-            f"more than {max_positions} critical positions; "
+            f"more than {cap} critical positions of {k + 1} piles; "
             "raise max_positions to enumerate them all",
             explored=len(branches) - 1,
         )

@@ -250,7 +250,11 @@ def b_fast(x, k: int) -> int:
 
 def remoteness_fast(x, k: int) -> AnalysisResult:
     """Remoteness, P/N status, an optimal move, and the certifying branch."""
-    x = plain_position(x, k)
+    return _analyze(plain_position(x, k), k)
+
+
+def _analyze(x: Position, k: int) -> AnalysisResult:
+    """``remoteness_fast`` of an already checked, sorted NIM(k+1, k) tuple."""
     if x[1] == 0:
         return AnalysisResult(x, k, 0, "P", None, "terminal", None)
     keep = _e_index(x)

@@ -10,7 +10,8 @@ On a sorted position the kept index is ``e_index``: the maximal index holding
 the smallest even coordinate, or n when all coordinates are odd.  Reducing
 every other coordinate by one leaves the tuple sorted, so M-moves need no
 re-sorting -- the tests check this, no run-time check does.  Public functions
-sort once; the kernels ``_e_index`` and ``_step`` take sorted tuples.
+sort once; the kernels ``_e_index``, ``_step`` and ``_playout_length`` take
+sorted tuples.
 """
 
 from __future__ import annotations
@@ -90,3 +91,22 @@ def m_count(x, spec: GameSpec | None = None) -> MRulePlayout:
         cur = _step(cur, keep)
         trace.append(cur)
     return MRulePlayout(start=x, moves=tuple(moves), positions=tuple(trace))
+
+
+def _playout_length(x: Position, lengths: dict) -> int:
+    """``m_count(x).length`` of a sorted tuple, memoized in ``lengths``.
+
+    L(x) = 1 + L(M(x)), and L is 0 on a terminal position.  The M-rule steps
+    from x only until it reaches a position whose length ``lengths`` already
+    holds; every position passed on the way is then recorded there, so
+    playouts sharing a tail step through it once.
+    """
+    path = []
+    while x[1] > 0 and x not in lengths:
+        path.append(x)
+        x = _step(x, _e_index(x))
+    length = lengths.get(x, 0)      # absent only when x is terminal
+    for p in reversed(path):
+        length += 1
+        lengths[p] = length
+    return length

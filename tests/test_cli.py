@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -195,6 +196,50 @@ def test_verify_resource_limit(capsys, monkeypatch):
     assert "before the limit" in out
 
 
+def _verify_report(out):
+    """(mismatch lines, last line) of a verify run's stdout."""
+    lines = out.splitlines()
+    return [ln for ln in lines if ln.startswith("mismatch: ")], lines[-1]
+
+
+def test_verify_reports_a_wrong_keep_rule(capsys, monkeypatch):
+    # A legal but wrong rule: always keep the smallest pile.  The memoized
+    # playout must still disagree with both solvers where that rule is slow.
+    import slownim.mrule as mrule
+    step = mrule._step
+    monkeypatch.setattr(mrule, "_step", lambda x, keep: tuple(sorted(step(x, 1))))
+    code, out, _ = run(capsys, "verify", "--k", "2", "--max", "4")
+    assert code == 1
+    found, last = _verify_report(out)
+    assert "mismatch: (1, 1, 2): fast=1 oracle=1 playout=2" in found
+    assert last == f"checked 35 positions, {len(found)} mismatches"
+    for line in found:
+        fast, slow, walk = re.fullmatch(
+            r"mismatch: \(\d+, \d+, \d+\): fast=(\d+) oracle=(\d+) playout=(\d+)",
+            line).groups()
+        assert fast == slow != walk
+
+
+def test_verify_reports_a_wrong_fast_solver(capsys, monkeypatch):
+    # Off by one on every E-rule position: the oracle and the playout agree,
+    # and with --appendix the closed-form parity disagrees as well.
+    import slownim.fast as fast
+    b_from_e = fast._b_from_e
+
+    def wrong(x, k, keep):
+        b, cert = b_from_e(x, k, keep)
+        return b + 1, cert
+
+    monkeypatch.setattr(fast, "_b_from_e", wrong)
+    code, out, _ = run(capsys, "verify", "--k", "3", "--max", "3", "--appendix")
+    assert code == 1
+    found, last = _verify_report(out)
+    assert "mismatch: (0, 1, 1, 1): fast=2 oracle=1 playout=1" in found
+    assert "mismatch: (0, 1, 1, 1): closed-form=N solver=P" in found
+    assert last == f"checked 35 positions, {len(found)} mismatches"
+    assert all("closed-form=" in line or "playout=" in line for line in found)
+
+
 def test_enumerate_resource_limit_is_one_line(capsys, monkeypatch):
     monkeypatch.setenv("SLOWNIM_MAX_STATES", "50")
     code, out, err = run(capsys, "enumerate", "--oracle", "4", "3",
@@ -202,6 +247,16 @@ def test_enumerate_resource_limit_is_one_line(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("resource limit: state limit 50")
     assert err.count("\n") == 1
+
+
+def test_enumerate_default_cap_counts_piles(capsys):
+    # About 10^9 positions of 1001 piles: the default cap stops the
+    # enumeration after about 10^6 stored piles.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--k", "1000", "--m", "200")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
 def test_enumerate_closed_form(capsys):

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from slownim import critical
 from slownim.critical import (
     CriticalReport,
     check_conjecture,
@@ -55,6 +56,16 @@ def test_enumerate_edge_cases():
 def test_enumerate_respects_position_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_critical(2, 10, max_positions=2)
+
+
+def test_enumerate_default_cap_counts_piles(monkeypatch):
+    monkeypatch.setattr(critical, "MAX_PILES", 30)  # 10 positions of 3 piles
+    assert len(enumerate_critical(2, 9).positions) == 9
+    with pytest.raises(ResourceLimitError, match="more than 10 critical positions"):
+        enumerate_critical(2, 11)
+    assert len(enumerate_critical(2, 11, max_positions=12).positions) == 12
+    # One position is always allowed, however many piles it has.
+    assert enumerate_critical(40, 2).positions == ((0,) + (2,) * 40,)
 
 
 def test_enumerated_positions_all_pass_the_branch_test():

@@ -1,13 +1,14 @@
 """The keep-one-pile rule: e(x), single moves, and full playouts."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from slownim.game import GameSpec, complete_hypergraph
-from slownim.mrule import MRulePlayout, e_index, m_count, m_move
+from slownim.mrule import MRulePlayout, _playout_length, e_index, m_count, m_move
 from slownim.oracle import is_basic, remoteness_oracle
 
 
@@ -93,3 +94,21 @@ def test_playout_end_is_terminal():
     for x in itertools.combinations_with_replacement(range(7), 4):
         last = m_count(x).positions[-1]
         assert last[1] == 0  # at most one nonempty pile remains
+
+
+def test_memoized_playout_length_matches_m_count():
+    # The acceptance grids, each visited in a seeded shuffled order, then a
+    # seeded batch of sparse larger positions, all through one shared dict.
+    rng = random.Random(20240901)
+    lengths: dict = {}
+    for k, bound in ((2, 20), (3, 12), (4, 8), (5, 6)):
+        grid = list(itertools.combinations_with_replacement(range(bound + 1), k + 1))
+        rng.shuffle(grid)
+        sparse = [tuple(sorted(rng.randint(0, 80) for _ in range(k + 1)))
+                  for _ in range(100)]
+        for x in grid + sparse:
+            assert _playout_length(x, lengths) == m_count(x).length, x
+    # Every position a playout passed is recorded, each with its own length.
+    assert len(lengths) > 5000
+    for x, length in lengths.items():
+        assert m_count(x).length == length, x
