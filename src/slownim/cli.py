@@ -45,13 +45,11 @@ MAX_TRACE_MOVES = 10_000
 
 def _parse_position(tokens) -> tuple[int, ...]:
     """Accept '3,3,3' or '3 3 3' (already token-split by the shell)."""
-    parts: list[str] = []
-    for token in tokens:
-        parts.extend(p for p in token.replace(",", " ").split() if p)
+    parts = " ".join(tokens).replace(",", " ").split()
     if not parts:
         raise ValueError("empty position")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(int, parts))
     except ValueError:
         raise ValueError(f"position must be decimal integers, got {parts!r}")
 

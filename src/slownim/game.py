@@ -222,7 +222,10 @@ def _children(spec: GameSpec, x: Position) -> list:
     at the kept piles of x - 1, or lowers the k piles of x, walking from the
     end of each run inward.  Its candidates are the combinations of nonempty
     piles of size min(kept, k): never more than the C(m, k) ways to lower k
-    of the m nonempty piles.
+    of the m nonempty piles.  When one pile changes per child (one kept pile,
+    as in every NIM(k+1, k) position with no empty pile, or k = 1), the
+    children are one per run: the walk changes the first pile of each run it
+    meets in ``base``, takes the tuple and puts the old value back.
     """
     if spec.hyperedges is not None:
         return list({tuple(c - 1 if i in e else c for i, c in enumerate(x, start=1))
@@ -240,8 +243,17 @@ def _children(spec: GameSpec, x: Position) -> list:
         base, changed, count, order = low, x, keep, range(n - 1, zeros - 1, -1)
     else:               # lower piles, from the bottom of each run up
         base, changed, count, order = list(x), low, spec.k, range(zeros, n)
-    step = -order.step  # from j toward the end of its run taken first
     children = []
+    if count == 1:  # one changed pile: the first of each run that order meets
+        last = None
+        for j in order:
+            if x[j] != last:
+                last, old = x[j], base[j]
+                base[j] = changed[j]
+                children.append(tuple(base))
+                base[j] = old
+        return children
+    step = -order.step  # from j toward the end of its run taken first
     for chosen in itertools.combinations(order, count):
         last = order.start + step   # the pile taken before j, or past the end
         for j in chosen:

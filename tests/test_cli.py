@@ -169,6 +169,25 @@ def test_verify_batch_file_and_shuffle_invariance(capsys, tmp_path):
     assert "checked 3 positions, 0 mismatches" in out_a
 
 
+def test_bad_positions_print_one_error_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1,2,3\n# note\n4 x,5  # tail\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--k", "2", "--positions", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: position must be decimal integers, got ['4', 'x', '5']\n"
+    bad.write_text("1,2,3\n , \n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--k", "2", "--positions", str(bad))
+    assert code == 2 and err == "error: empty position\n"
+
+    for argv, message in ((["1,x", "3"], "position must be decimal integers, "
+                                         "got ['1', 'x', '3']"),
+                          ([","], "empty position")):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--k", "2", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"slownim: error: {message}"
+
+
 def test_verify_batch_rejects_wrong_width(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("1,2,3,4\n", encoding="utf-8")

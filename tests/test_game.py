@@ -222,6 +222,27 @@ def test_children_of_one_long_run_take_linear_time():
         assert len(children) == 1, k
 
 
+@pytest.mark.parametrize("spec, root", [
+    (GameSpec(3, 2), (9, 11, 13)),       # one kept pile: restore side, one pile
+    (GameSpec(4, 3), (5, 6, 7, 8)),
+    (GameSpec(5, 3), (2, 3, 4, 5, 6)),   # two kept piles: combinations
+    (GameSpec(4, 1), (1, 2, 3, 4)),      # k = 1: lowering side, one pile
+    (GameSpec(4, 2), (0, 3, 4, 6)),      # an empty pile leaves one kept pile
+])
+def test_oracle_stores_the_reachable_set(spec, root):
+    # The state cap counts memo entries, so the memo must be exactly the
+    # positions reachable by the definition of a move, whatever the kernel.
+    reachable, frontier = {root}, [root]
+    while frontier:
+        for child in _children_by_definition(spec, frontier.pop()):
+            if child not in reachable:
+                reachable.add(child)
+                frontier.append(child)
+    memo: dict = {}
+    remoteness_oracle(spec, root, memo=memo)
+    assert set(memo) == reachable
+
+
 def test_hypergraph_moves_and_application():
     spec = GameSpec(3, 2, hyperedges={frozenset({1, 2}), frozenset({2, 3})})
     assert hypergraph_legal_moves(spec, (0, 1, 1)) == [frozenset({2, 3})]
