@@ -86,8 +86,7 @@ def cmd_analyze(args) -> int:
     x = canonicalize(args.position)
     n, k = len(x), args.k
     if k > n:
-        print(f"error: k={k} exceeds pile count n={n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"k={k} exceeds pile count n={n}")
     keep = None
     if n == k + 1:
         result = remoteness_fast(x, k)
@@ -99,9 +98,8 @@ def cmd_analyze(args) -> int:
     trace = None
     if args.trace and n == k + 1:
         if value > MAX_TRACE_MOVES:
-            print(f"resource limit: the playout has {value} moves, --trace "
-                  f"prints at most {MAX_TRACE_MOVES}", file=sys.stderr)
-            return EXIT_RESOURCE
+            raise ResourceLimitError(f"the playout has {value} moves, --trace "
+                                     f"prints at most {MAX_TRACE_MOVES}", explored=0)
         trace = [list(p) for p in m_count(x).positions]
     _print_record(_record(x, k, value, branch, keep, trace), args.json)
     return EXIT_OK
@@ -125,16 +123,15 @@ def _check_one(spec: GameSpec, x, memo: dict, max_states: int, lengths: dict,
     command; every playout position is a state the oracle solved first, so
     the state cap bounds both."""
     problems = []
-    fast = _analyze(x, spec.k).remoteness
+    fast = _analyze(x, spec.k)
     slow = _solve(spec, x, _remoteness_combine, memo, max_states)
     walk = _playout_length(x, lengths)
-    if not fast == slow == walk:
-        problems.append(f"{x}: fast={fast} oracle={slow} playout={walk}")
+    if not fast.remoteness == slow == walk:
+        problems.append(f"{x}: fast={fast.remoteness} oracle={slow} playout={walk}")
     if appendix:
         closed = nim43_status(x).status
-        parity = "P" if fast % 2 == 0 else "N"
-        if closed != parity:
-            problems.append(f"{x}: closed-form={closed} solver={parity}")
+        if closed != fast.status:
+            problems.append(f"{x}: closed-form={closed} solver={fast.status}")
     return problems
 
 
@@ -142,13 +139,9 @@ def cmd_verify(args) -> int:
     k = args.k
     spec = GameSpec(k + 1, k)
     if args.appendix and k != 3:
-        print("error: --appendix applies to k=3 (four piles) only",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--appendix applies to k=3 (four piles) only")
     if args.max is None and not args.positions:
-        print("error: give --max BOUND and/or --positions FILE",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("give --max BOUND and/or --positions FILE")
     if min(args.max or 0, args.conjecture or 0) < 0:
         raise ValueError("--max and --conjecture must be nonnegative")
     batch = _read_batch(args.positions, k) if args.positions else []
@@ -186,19 +179,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.oracle:
+    if (args.k is None) == (args.oracle is None):
+        raise ValueError("give exactly one of --k K (closed form) and --oracle N K")
+    if args.k is not None:
+        branches = enumerate_critical(args.k, args.m).branches
+    else:
         n, k = args.oracle
         spec = GameSpec(n, k)
         if args.max is None:
-            print("error: --oracle mode needs --max BOUND", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--oracle mode needs --max BOUND")
         branches = {x: (is_m_critical(x, k, args.m) or "-") if n == k + 1 else "-"
                     for x in critical_oracle(spec, args.m, args.max)}
-    elif args.k is None:
-        print("error: give --k K (closed form) or --oracle N K", file=sys.stderr)
-        return EXIT_USAGE
-    else:
-        branches = enumerate_critical(args.k, args.m).branches
     for x in sorted(branches):
         print(f"{','.join(map(str, x))}  {branches[x]}")
     print(f"total {len(branches)} positions with value {args.m}")

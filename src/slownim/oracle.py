@@ -41,7 +41,8 @@ DEFAULT_MAX_STATES = 1_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """A memo table outgrew its configured cap."""
+    """A search outgrew its cap: the oracle's memo table, the closed-form
+    enumeration's position count or the printed playout's length."""
 
     def __init__(self, message: str, explored: int):
         super().__init__(message)

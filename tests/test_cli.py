@@ -2,14 +2,16 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slownim.cli import MAX_TRACE_MOVES, main
@@ -318,6 +320,11 @@ def test_enumerate_usage_errors(capsys):
     assert code == 2
     assert "--oracle" in err
 
+    code, out, err = run(capsys, "enumerate", "--k", "5", "--oracle", "3", "2",
+                         "--m", "2", "--max", "3")
+    assert code == 2 and out == ""
+    assert err == "error: give exactly one of --k K (closed form) and --oracle N K\n"
+
     code, out, err = run(capsys, "enumerate", "--k", "2", "--m", "-1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -454,13 +461,23 @@ def batch_files(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=ARGV)
-def test_main_never_raises_and_exits_0_to_3(batch_files, argv):
+@given(argv=ARGV, cap=st.sampled_from([None, "5"]))    # a small cap reaches exit 3
+@example(argv=["analyze", "--k", "2", "--trace", "0,10001,10001"], cap=None)
+@example(argv=["verify", "--k", "2", "--max", "3"], cap="5")   # partial report first
+def test_main_never_raises_and_exits_0_to_3(batch_files, argv, cap):
     argv = [batch_files.get(t, t) for t in argv]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+    env = {} if cap is None else {"SLOWNIM_MAX_STATES": cap}
+    with mock.patch.dict(os.environ, env), redirect_stdout(io.StringIO()) as out, \
+            redirect_stderr(io.StringIO()) as err:
         try:
             code = main(argv)
         except SystemExit as exc:    # argparse's usage errors
             assert exc.code == 2, argv
-            code = 2
+            return
     assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 2:                    # one error line, nothing on stdout
+        assert out.getvalue() == "" and len(lines) == 1, (argv, out.getvalue(), lines)
+        assert lines[0].startswith("error: "), (argv, lines)
+    if code == 3:                    # a partial verify report may precede it
+        assert len(lines) == 1 and lines[0].startswith("resource limit: "), (argv, lines)
