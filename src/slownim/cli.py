@@ -44,7 +44,8 @@ MAX_TRACE_MOVES = 10_000
 
 
 def _parse_position(tokens) -> tuple[int, ...]:
-    """Accept '3,3,3' or '3 3 3' (already token-split by the shell)."""
+    """Accept '3,3,3' or '3 3 3' (already token-split by the shell); a malformed
+    or empty position raises ``ValueError``, which ``main`` reports."""
     parts = " ".join(tokens).replace(",", " ").split()
     if not parts:
         raise ValueError("empty position")
@@ -83,17 +84,16 @@ def _print_record(rec: dict, as_json: bool) -> None:
 
 
 def cmd_analyze(args) -> int:
-    x = canonicalize(args.position)
-    n, k = len(x), args.k
-    if k > n:
-        raise ValueError(f"k={k} exceeds pile count n={n}")
+    x = canonicalize(_parse_position(args.position))
+    spec = GameSpec(len(x), args.k)
+    n, k = spec.n, spec.k
     keep = None
     if n == k + 1:
         result = remoteness_fast(x, k)
         value, branch, keep = (result.remoteness, result.branch,
                                result.best_keep_index)
     if args.oracle or n != k + 1:
-        value = remoteness_oracle(GameSpec(n, k), x)
+        value = remoteness_oracle(spec, x)
         branch = "oracle"
     trace = None
     if args.trace and n == k + 1:
@@ -219,7 +219,7 @@ def _prompt_move(spec: GameSpec, x) -> int | None:
 
 def cmd_play(args) -> int:
     k = args.k
-    x = plain_position(args.position, k)
+    x = plain_position(_parse_position(args.position), k)
     spec = GameSpec(k + 1, k)
     engine_to_move = args.engine_first
     while True:
@@ -249,9 +249,9 @@ def cmd_bench(args) -> int:
     top = 1 << bits
     total = 0.0
     for rep in range(reps):
-        x = plain_position([rng.randrange(top) for _ in range(k + 1)], k)
+        raw = [rng.randrange(top) for _ in range(k + 1)]
         start = time.perf_counter()
-        result = remoteness_fast(x, k)
+        result = remoteness_fast(raw, k)
         elapsed = time.perf_counter() - start
         total += elapsed
         print(f"rep {rep + 1}: n={k + 1} bits={bits} "
@@ -322,13 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "position"):
-        try:
-            args.position = _parse_position(args.position)
-        except ValueError as exc:
-            parser.error(str(exc))           # exits with code 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

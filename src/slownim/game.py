@@ -50,7 +50,7 @@ class GameSpec:
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not isinstance(self.k, int) or not 0 < self.k <= self.n:
-            raise ValueError(f"k must satisfy 0 < k <= n, got k={self.k!r}")
+            raise ValueError(f"k must satisfy 0 < k <= n = {self.n}, got k={self.k!r}")
         if self.hyperedges is not None:
             edges = frozenset(frozenset(e) for e in self.hyperedges)
             if not edges:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -99,14 +100,14 @@ def test_analyze_trace_is_capped(capsys):
 def test_analyze_usage_errors(capsys):
     code, _, err = run(capsys, "analyze", "--k", "4", "1,2,3")
     assert code == 2
-    assert "exceeds pile count" in err
+    assert "0 < k <= n = 3" in err
     code, out, err = run(capsys, "analyze", "--k", "2", "3,-1,2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "nonnegative" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--k", "2", "1,x,3"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "analyze", "--k", "2", "1,x,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_grid(capsys):
@@ -184,10 +185,9 @@ def test_bad_positions_print_one_error_line(capsys, tmp_path):
     for argv, message in ((["1,x", "3"], "position must be decimal integers, "
                                          "got ['1', 'x', '3']"),
                           ([","], "empty position")):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--k", "2", *argv])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == f"slownim: error: {message}"
+        code, out, err = run(capsys, "analyze", "--k", "2", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_verify_batch_rejects_wrong_width(capsys, tmp_path):
@@ -330,11 +330,25 @@ def test_enumerate_usage_errors(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_bench_runs_and_reports(capsys):
+def test_bench_runs_and_reports(capsys, monkeypatch):
     code, out, _ = run(capsys, "bench", "--k", "8", "--bits", "12", "--reps", "2")
     assert code == 0
     assert out.count("rep ") == 2
     assert "mean" in out and "positions/s" in out
+
+    # The timed call gets each rep's draw as drawn, so it times the sort too.
+    import slownim.cli as cli
+    seen = []
+    fast = cli.remoteness_fast
+    monkeypatch.setattr(cli, "remoteness_fast",
+                        lambda x, k: seen.append(x) or fast(x, k))
+    code, _, _ = run(capsys, "bench", "--k", "8", "--bits", "12", "--reps", "2",
+                     "--seed", "5")
+    assert code == 0
+    rng = random.Random(5)
+    draws = [[rng.randrange(1 << 12) for _ in range(9)] for _ in range(2)]
+    assert all(x != sorted(x) for x in draws)
+    assert seen == draws
 
 
 def test_bench_rejects_nonpositive_reps(capsys):
